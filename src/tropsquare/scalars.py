@@ -13,7 +13,9 @@ Three layers, all exact:
 Scalars over different radicands cannot be ordered exactly; those
 comparisons raise :class:`~tropsquare.errors.IncompatibleRadicals`.
 Equality, by contrast, is always decidable because the canonical form
-``(a, b, d)`` is unique.
+``(a, b, d)`` is unique.  Only the public constructors check and
+canonicalize; arithmetic results that are canonical by construction go
+through the trusted ``_make`` constructors instead.
 """
 
 from __future__ import annotations
@@ -95,6 +97,21 @@ def _sign(q) -> int:
     return (q > 0) - (q < 0)
 
 
+_ZERO = Fraction(0)
+
+
+def _surd_sign(a: int, b: int, d: int) -> int:
+    """Sign of ``a + b*sqrt(d)`` for integers a, b and squarefree d >= 2
+    (any d when b == 0)."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    lhs, rhs = a * a, b * b * d
+    assert lhs != rhs  # would make sqrt(d) rational
+    return 1 if (lhs > rhs) == (a > 0) else -1
+
+
 class ExactScalar:
     """Canonical quadratic surd ``a + b*sqrt(d)``.
 
@@ -108,8 +125,10 @@ class ExactScalar:
     def __init__(self, a=0, b=0, d=0):
         if isinstance(a, float) or isinstance(b, float):
             raise TypeError("exact scalars take int or Fraction parts, not float")
-        a = Fraction(a)
-        b = Fraction(b)
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
         d = int(d)
         if d < 0:
             raise ValueError("radicand must be non-negative")
@@ -128,6 +147,24 @@ class ExactScalar:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _make(cls, a: Fraction, b: Fraction, d: int) -> "ExactScalar":
+        """Trusted constructor for results that are canonical by construction.
+
+        ``a`` and ``b`` must be Fractions and ``d`` squarefree and at least
+        2, or 0; only ``b == 0`` is normalized (to ``d == 0``).  Nothing is
+        checked or factored: outside input goes through ``ExactScalar(...)``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "a", a)
+        if b:
+            object.__setattr__(self, "b", b)
+            object.__setattr__(self, "d", d)
+        else:
+            object.__setattr__(self, "b", _ZERO)
+            object.__setattr__(self, "d", 0)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
 
@@ -143,73 +180,75 @@ class ExactScalar:
         return self.a
 
     def sign(self) -> int:
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return _sign(a)
-        if a == 0:
-            return _sign(b)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * d
-        assert lhs != rhs  # would make sqrt(d) rational
-        if a > 0:
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        a, b = self.a, self.b
+        # scaled by the positive a.denominator * b.denominator
+        return _surd_sign(a.numerator * b.denominator, b.numerator * a.denominator, self.d)
 
     # -- arithmetic ------------------------------------------------------
 
     @staticmethod
     def _coerce(other):
+        t = type(other)
+        if t is ExactScalar:
+            return other
+        if t is int:
+            return ExactScalar._make(Fraction(other), _ZERO, 0)
+        if t is Fraction:
+            return ExactScalar._make(other, _ZERO, 0)
         if isinstance(other, ExactScalar):
             return other
         if isinstance(other, (int, Fraction)):
             return ExactScalar(other)
         return None
 
+    def _common_radicand(self, o) -> int:
+        """The radicand of a sum or difference with ``o``."""
+        if self.d == o.d or not o.d:
+            return self.d
+        if not self.d:
+            return o.d
+        raise IncompatibleRadicals(f"cannot add sqrt({self.d}) and sqrt({o.d}) terms")
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_rational or o.is_rational or self.d == o.d:
-            d = self.d or o.d
-            return ExactScalar(self.a + o.a, self.b + o.b, d)
-        raise IncompatibleRadicals(f"cannot add sqrt({self.d}) and sqrt({o.d}) terms")
+        return ExactScalar._make(self.a + o.a, self.b + o.b, self._common_radicand(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(-self.a, -self.b, self.d)
+        return ExactScalar._make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return ExactScalar._make(self.a - o.a, self.b - o.b, self._common_radicand(o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if self.is_rational:
-            return ExactScalar(self.a * o.a, self.a * o.b, o.d)
+            return ExactScalar._make(self.a * o.a, self.a * o.b, o.d)
         if o.is_rational:
-            return ExactScalar(self.a * o.a, self.b * o.a, self.d)
+            return ExactScalar._make(self.a * o.a, self.b * o.a, self.d)
         if self.d == o.d:
-            return ExactScalar(
+            return ExactScalar._make(
                 self.a * o.a + self.b * o.b * self.d,
                 self.a * o.b + self.b * o.a,
                 self.d,
             )
         if self.a == 0 and o.a == 0:
-            # pure radicals over different radicands stay quadratic
+            # pure radicals over different radicands stay quadratic; d*d'
+            # may have a square factor, so this one canonicalizes
             return ExactScalar(0, self.b * o.b, self.d * o.d)
         raise IncompatibleRadicals(
             f"product of sqrt({self.d}) and sqrt({o.d}) expressions is not quadratic"
@@ -221,10 +260,10 @@ class ExactScalar:
         if self.sign() == 0:
             raise ZeroDivisionError("zero scalar has no inverse")
         if self.is_rational:
-            return ExactScalar(1 / self.a)
+            return ExactScalar._make(1 / self.a, _ZERO, 0)
         denom = self.a * self.a - self.b * self.b * self.d
         # denom == 0 would force sqrt(d) rational
-        return ExactScalar(self.a / denom, -self.b / denom, self.d)
+        return ExactScalar._make(self.a / denom, -self.b / denom, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -254,8 +293,17 @@ class ExactScalar:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
-    def _diff_sign(self, other) -> int:
-        return (self - other).sign()
+    def _diff_sign(self, o) -> int:
+        """Sign of ``self - o`` from integer cross-products, building no scalar."""
+        d = self._common_radicand(o)
+        a, oa = self.a, o.a
+        na = a.numerator * oa.denominator - oa.numerator * a.denominator
+        if not d:
+            return (na > 0) - (na < 0)
+        b, ob = self.b, o.b
+        nb = b.numerator * ob.denominator - ob.numerator * b.denominator
+        # (na/qa) + (nb/qb)*sqrt(d), scaled by the positive qa*qb
+        return _surd_sign(na * b.denominator * ob.denominator, nb * a.denominator * oa.denominator, d)
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -287,14 +335,24 @@ class ExactScalar:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def floor(self) -> int:
-        if self.is_rational:
-            return math.floor(self.a)
-        n = math.floor(float(self))
-        while self < n:
-            n -= 1
-        while self >= n + 1:
-            n += 1
-        return n
+        """Exact floor by integer square roots; no float is involved.
+
+        Write ``self = (A + B*sqrt(d)) / Q`` with integers and ``Q > 0``,
+        and let ``r = isqrt(B*B*d)``.  ``B*B*d`` is not a square, so
+        ``r < |B|*sqrt(d) < r + 1`` and ``Q*self`` lies strictly between
+        the consecutive integers ``A + r`` and ``A + r + 1`` (for B > 0)
+        or ``A - r - 1`` and ``A - r`` (for B < 0).  The lower one is
+        ``floor(Q*self)``, and ``floor(y / Q) == floor(y) // Q``.
+        """
+        a, b = self.a, self.b
+        if not b:
+            return a.numerator // a.denominator
+        q = a.denominator * b.denominator
+        big_a = a.numerator * b.denominator
+        big_b = b.numerator * a.denominator
+        r = math.isqrt(big_b * big_b * self.d)
+        lower = big_a + r if big_b > 0 else big_a - r - 1
+        return lower // q
 
     def __repr__(self):
         if self.is_rational:
@@ -419,6 +477,16 @@ class GermExponent:
         object.__setattr__(self, "slope_plus", slope_plus)
         object.__setattr__(self, "slope_minus", slope_minus)
 
+    @classmethod
+    def _make(cls, base: ExactScalar, slope_plus: ExactScalar, slope_minus: ExactScalar) -> "GermExponent":
+        """Trusted constructor for a finite germ built from valid germs,
+        whose slopes are scalars with ``slope_plus <= slope_minus``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "slope_plus", slope_plus)
+        object.__setattr__(self, "slope_minus", slope_minus)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("GermExponent is immutable")
 
@@ -470,12 +538,13 @@ def germ_min(g: GermExponent, h: GermExponent, one_sided: bool = False) -> GermE
     elif h.base < g.base:
         win = h
     else:
+        # sp <= g.slope_plus <= g.slope_minus <= the max: the invariant holds
         sp = min(g.slope_plus, h.slope_plus)
         if one_sided:
-            return GermExponent(g.base, sp, sp)
-        return GermExponent(g.base, sp, max(g.slope_minus, h.slope_minus))
+            return GermExponent._make(g.base, sp, sp)
+        return GermExponent._make(g.base, sp, max(g.slope_minus, h.slope_minus))
     if one_sided:
-        return GermExponent(win.base, win.slope_plus, win.slope_plus)
+        return GermExponent._make(win.base, win.slope_plus, win.slope_plus)
     return win
 
 
@@ -483,7 +552,8 @@ def germ_add(g: GermExponent, h: GermExponent) -> GermExponent:
     """Componentwise sum (product of the underlying tropical values)."""
     if g.is_zero or h.is_zero:
         return ZERO_GERM
-    return GermExponent(
+    # sums of ordered slope pairs stay ordered
+    return GermExponent._make(
         g.base + h.base,
         g.slope_plus + h.slope_plus,
         g.slope_minus + h.slope_minus,

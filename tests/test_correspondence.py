@@ -211,6 +211,16 @@ def test_convergents_frozen():
     ]
 
 
+def test_convergents_beyond_float_range():
+    x = 10**400 + surd(2)
+    cs = convergents(x, 20)
+    assert len(cs) == 20
+    for c in cs:
+        assert abs(x - c) < Fraction(1, c.denominator**2)
+    # shifting by an integer moves only the first partial quotient
+    assert [c.denominator for c in cs] == [c.denominator for c in convergents(surd(2), 20)]
+
+
 def test_approximate_frozen_single_generator():
     steps = approximate(surd(2), HereditarySet([(1, 0)]), 4)
     assert [s.convergent for s in steps] == convergents(surd(2), 4)

@@ -1,5 +1,6 @@
 """Exact scalar tower: canonical forms, comparisons, arithmetic, germs."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from tropsquare import (
     scalar_to_json,
     surd,
 )
+
+from tropsquare.correspondence import random_germ
 
 from helpers import interval_sign
 
@@ -55,6 +58,10 @@ def test_floats_rejected():
         ExactScalar(0.1)
     with pytest.raises(TypeError):
         as_scalar(1.5)
+    with pytest.raises(TypeError):
+        ExactScalar(1, 0.5, 2)
+    with pytest.raises(TypeError):
+        surd(2) + 0.5
 
 
 # -- frozen comparison examples ----------------------------------------------
@@ -79,8 +86,13 @@ def test_compare_sqrt2_above_one():
 
 
 def test_compare_mixed_radicals_raises():
-    with pytest.raises(IncompatibleRadicals):
-        surd(2) < surd(3)
+    x, y = ExactScalar(1, 1, 2), ExactScalar(1, 1, 3)
+    for cmp in (
+        lambda: surd(2) < surd(3), lambda: surd(5) >= surd(6),
+        lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y,
+    ):
+        with pytest.raises(IncompatibleRadicals):
+            cmp()
     # equality across radicands is structurally decidable
     assert surd(2) != surd(3)
     assert not (surd(2) == surd(3))
@@ -136,6 +148,24 @@ def test_floor_exact():
     assert ExactScalar(Fraction(-7, 3)).floor() == -3
     assert ExactScalar(-1, 1, 2).floor() == 0  # sqrt(2) - 1
     assert ExactScalar(0, 12, 2).floor() == 16  # 12*sqrt(2) = 16.97...
+    # beyond float range
+    assert (10**400 + surd(2)).floor() == 10**400 + 1
+    assert (-(10**400) - surd(2)).floor() == -(10**400) - 2
+    assert ExactScalar(10**400, -1, 2).floor() == 10**400 - 2
+
+
+def test_floor_exact_on_random_surds():
+    # x - 1 < floor(x) <= x, decided exactly, for either sign of a and b
+    # and for rational parts far beyond float range
+    rng = random.Random(9001)
+    for _ in range(2000):
+        d = rng.choice((2, 3, 5, 6, 7, 10))
+        x = _random_scalar(rng, d)
+        if rng.random() < 0.25:
+            x = x + rng.choice((1, -1)) * 10**400
+        n = x.floor()
+        assert type(n) is int
+        assert x - 1 < n <= x
 
 
 def test_infinity_absorbs():
@@ -145,6 +175,97 @@ def test_infinity_absorbs():
     assert min(INF, Fraction(1, 2)) == Fraction(1, 2)
     assert surd(2) < INF
     assert INF <= INF
+
+
+# -- trusted arithmetic against the public constructor ---------------------------
+
+
+def _assert_canonical(r: ExactScalar):
+    rebuilt = ExactScalar(r.a, r.b, r.d)
+    assert (r.a, r.b, r.d) == (rebuilt.a, rebuilt.b, rebuilt.d)
+    assert hash(r) == hash(rebuilt)
+    assert type(r.a) is Fraction and type(r.b) is Fraction and type(r.d) is int
+    assert (r.b == 0) == (r.d == 0)
+    if r.d:
+        assert r.d >= 2
+        assert all(r.d % (k * k) for k in range(2, math.isqrt(r.d) + 1))
+
+
+fractions = st.fractions(min_value=-40, max_value=40, max_denominator=9)
+
+
+@given(
+    xa=fractions, xb=fractions, ya=fractions, yb=fractions,
+    d=st.sampled_from([0, 2, 3, 5, 6]),
+    y_rational=st.booleans(),
+)
+def test_trusted_results_are_canonical(xa, xb, ya, yb, d, y_rational):
+    x = ExactScalar(xa, xb, d)
+    y = ExactScalar(ya, 0 if y_rational else yb, d)
+    results = [x + y, x - y, -x, x * y, y + x, y - x, y * x]
+    # the same values through the public constructor (the slow path)
+    assert x + y == ExactScalar(x.a + y.a, x.b + y.b, d)
+    assert x - y == ExactScalar(x.a - y.a, x.b - y.b, d)
+    assert x * y == ExactScalar(x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a, d)
+    for z in (x, y):
+        if z.sign() != 0:
+            inv = z.inverse()
+            assert inv * z == 1
+            results.append(inv)
+    for r in results:
+        _assert_canonical(r)
+
+
+def test_trusted_results_under_cancellation():
+    for d in (2, 3, 5, 6):
+        x = ExactScalar(Fraction(7, 3), Fraction(-5, 2), d)
+        results = [x + (-x), x - x, x - x.b * surd(d), 0 * surd(d), surd(d) * 0]
+        for r in results:
+            _assert_canonical(r)
+            assert r.d == 0
+        assert x - x.b * surd(d) == x.a
+    conj = ExactScalar(1, 1, 2) * ExactScalar(1, -1, 2)
+    _assert_canonical(conj)
+    assert conj == -1 and conj.d == 0
+    _assert_canonical(surd(6) * surd(2))
+    assert surd(6) * surd(2) == ExactScalar(0, 2, 3)
+    _assert_canonical(surd(2) * surd(2))
+    _assert_canonical(as_scalar(Fraction(4, 3)).inverse())
+
+
+# -- comparison edge cases -------------------------------------------------------
+
+
+def test_order_against_infinity_both_sides():
+    x = ExactScalar(10**400, 1, 2)
+    assert x < INF and x <= INF and not x > INF and not x >= INF
+    assert INF > x and INF >= x and not INF < x and not INF <= x
+    assert x != INF and INF != x
+    assert min(x, INF) is x and min(INF, x) is x
+
+
+def test_order_with_int_fraction_and_bool_operands():
+    s2 = surd(2)
+    assert 1 < s2 < 2 and s2 > 1 and 2 > s2
+    assert Fraction(7, 5) < s2 < Fraction(3, 2)
+    assert Fraction(3, 2) > s2 and Fraction(7, 5) <= s2
+    assert True < s2 and s2 >= True and not s2 <= True
+    assert ExactScalar(1) == True and ExactScalar(0) == False  # noqa: E712
+    assert ExactScalar(Fraction(1, 2)) < 1 and 0 <= ExactScalar(Fraction(1, 2))
+    assert ExactScalar(3) >= 3 and ExactScalar(3) <= Fraction(6, 2)
+    # -1 < sqrt(2) - 2 < -1/2
+    assert sign(ExactScalar(-2, 1, 2), -1) == 1
+    assert sign(ExactScalar(-2, 1, 2), Fraction(-1, 2)) == -1
+
+
+def test_float_operand_still_type_error():
+    for cmp in (
+        lambda: surd(2) < 1.5, lambda: surd(2) <= 1.5,
+        lambda: surd(2) > 1.5, lambda: surd(2) >= 1.5,
+        lambda: 1.5 > surd(2), lambda: ExactScalar(1) < 2.0,
+    ):
+        with pytest.raises(TypeError):
+            cmp()
 
 
 # -- serialization ------------------------------------------------------------
@@ -202,6 +323,10 @@ def test_germ_zero():
 def test_germ_slope_invariant_enforced():
     with pytest.raises(ValueError):
         GermExponent(2, 3, 1)
+    with pytest.raises(ValueError):
+        GermExponent(0, 1, 0)
+    with pytest.raises(TypeError):
+        GermExponent(0.5, 0, 0)
 
 
 def test_germ_one_sided_mode():
@@ -215,6 +340,29 @@ germs = st.builds(
     st.integers(0, 10),
     st.integers(0, 10),
 ) | st.just(ZERO_GERM)
+
+
+def _assert_public_germ(r: GermExponent):
+    rebuilt = GermExponent(INF) if r.is_zero else GermExponent(r.base, r.slope_plus, r.slope_minus)
+    assert r == rebuilt and hash(r) == hash(rebuilt)
+    if not r.is_zero:
+        assert all(type(v) is ExactScalar for v in (r.base, r.slope_plus, r.slope_minus))
+        assert r.slope_plus <= r.slope_minus
+
+
+def test_germ_fast_path_matches_public_constructor():
+    rng = random.Random(31)
+    for _ in range(2000):
+        x, y, z = (random_germ(rng) for _ in range(3))
+        for r in (
+            germ_add(x, y),
+            germ_add(germ_add(x, y), z),
+            germ_min(x, y),
+            germ_min(x, y, one_sided=True),
+            germ_min(germ_add(x, z), y),
+            germ_min(germ_add(x, z), y, one_sided=True),
+        ):
+            _assert_public_germ(r)
 
 
 @given(germs, germs, germs)
