@@ -1,7 +1,8 @@
 """Command-line front end: JSON in, JSON (or SVG) out.
 
 Exit codes: 0 on success, 1 on a domain error (with a machine-readable
-error object on stdout), 2 on malformed input or usage errors.
+error object on stdout) or a failed ``compose`` verification (with the
+full result on stdout), 2 on malformed input or usage errors.
 
 Slope arguments use the compact scalar syntax: ``p/q`` for rationals,
 ``sqrt:d`` or ``a+b*sqrt:d`` for quadratic surds.
@@ -65,14 +66,20 @@ def _load_polygon(path: str) -> NewtonPolygon:
         raise MalformedInput(f"{path}: {exc}") from exc
 
 
-def _parse_slope(text: str):
+def _parse_slope(text: str | None):
+    if text is None:
+        raise MalformedInput("missing slope argument")
     try:
         return parse_scalar_spec(text)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
+    except ZeroDivisionError as exc:
+        raise MalformedInput(f"zero denominator in {text!r}") from exc
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str | None) -> Fraction:
+    if text is None:
+        raise MalformedInput("missing rational argument")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -175,11 +182,14 @@ def _cmd_compose(args) -> int:
     left, right = _parse_slope(args.left), _parse_slope(args.right)
     result = compose_slopes(left, right)
     out = result.to_json()
+    ok = True
     if args.verify_bound is not None:
         out["verification"] = verify_composition(
             result, left, right, bound=args.verify_bound
         )
-    return _emit(out)
+        ok = out["verification"]["ok"]
+    _emit(out)
+    return 0 if ok else 1
 
 
 def _cmd_axioms(args) -> int:

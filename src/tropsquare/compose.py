@@ -7,11 +7,12 @@ crossing relation
 
     (x + k) (x) y   ~   x (x) (y + k*lam'),   k a natural number.
 
-The cancellative quotient of the tensor product is handled operationally:
+The cancellative quotient of the tensor product is handled exactly:
 ``normal_form`` gives a canonical representative, ``germ_evaluate`` maps
 the generated part into germs (the left leg picks up the tangential
-deformation), and ``rewrite_equiv`` decides equality by a bounded
-breadth-first search over crossing and re-witnessing moves.
+deformation), and ``rewrite_equiv`` and ``reduced_equiv`` decide
+equality by comparing canonical class keys of the witness coordinates,
+so every verdict is definite.
 
 The composition law itself is arithmetic on the slopes: the composite
 slope is the product, and a tangential identity deformation appears
@@ -21,7 +22,6 @@ slopes then separate value collisions that no rewrite chain can merge).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,7 +91,7 @@ def germ_evaluate(t: SimpleTensor, lam, lamp) -> GermExponent:
 @dataclass(frozen=True)
 class RewriteVerdict:
     equivalent: bool
-    inconclusive: bool  # search hit the bound without deciding
+    inconclusive: bool  # always False: the decision is exact
 
     def to_json(self) -> dict:
         return {"equivalent": self.equivalent, "inconclusive": self.inconclusive}
@@ -104,87 +104,54 @@ def _rational_parts(lam: ExactScalar):
     return None
 
 
+def _class_key(state, lr, pr) -> tuple[int, int, int]:
+    """Canonical representative of the move class of witnesses (a, b, c, d).
+
+    Moves on (a, b) (x) (c, d) in N^4: the crossing (b, c) -> (b + 1, c - 1)
+    and, for rational slopes n1/m1 (``lr``) and n2/m2 (``pr``) in lowest
+    terms, re-witnessing (a, b) -> (a + m1, b - n1) and
+    (c, d) -> (c + m2, d - n2); each in both directions.  The key is the
+    Hermite-normal-form reduction of this move lattice (H. Cohen, A Course
+    in Computational Algebraic Number Theory, 2.4): divide a by m1 and
+    carry the quotient into b, cross b into c, divide c by m2 and carry
+    the quotient into d.  No move changes the key, and every state reaches
+    the state (a, 0, c, d) of its key by moves inside N^4 (the divisions
+    lower a or c while raising b or d; the crossings empty b into c).  So
+    the move classes in the orthant are exactly the fibres of the key.
+    """
+    a, b, c, d = state
+    if lr:
+        q, a = divmod(a, lr[1])
+        b += q * lr[0]
+    c += b
+    if pr:
+        q, c = divmod(c, pr[1])
+        d += q * pr[0]
+    return a, c, d
+
+
+def _power_key(t: SimpleTensor, k: int, lr, pr):
+    """Class key of the k-th power of t (witnesses scaled by k); None for zero."""
+    if t.is_zero:
+        return None
+    return _class_key([k * x for x in (*t.left.witness, *t.right.witness)], lr, pr)
+
+
 def rewrite_equiv(
     t1: SimpleTensor, t2: SimpleTensor, lam, lamp, bound: int = 64
 ) -> RewriteVerdict:
-    """Bounded search for a chain of relation moves from t1 to t2.
+    """Decide whether a chain of relation moves joins t1 and t2.
 
-    Moves: unit crossings in both directions and, for rational slopes,
-    value-preserving re-witnessing inside either leg.  All intermediate
-    witness coordinates stay within [0, bound].  A positive answer is
-    sound; a negative answer is definitive only when no move was pruned
-    by the bound (otherwise ``inconclusive`` is set).
+    The move classes are the fibres of ``_class_key``, so the verdict is
+    exact and never inconclusive; a zero tensor matches only a zero
+    tensor.  ``bound`` limits nothing; it stays for callers that pass it,
+    and a value below 1 raises ``ValueError``.
     """
     lam, lamp = check_positive(lam), check_positive(lamp)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if t1.is_zero or t2.is_zero:
-        return RewriteVerdict(t1.is_zero and t2.is_zero, False)
-    if t1 == t2:
-        return RewriteVerdict(True, False)
-
-    start = (*t1.left.witness, *t1.right.witness)
-    if max(start) > bound:
-        return RewriteVerdict(False, True)
-
     lr, pr = _rational_parts(lam), _rational_parts(lamp)
-
-    # integer-only target predicate
-    if lr is None:
-        ta, tb = t2.left.witness
-
-        def hit_left(a, b):
-            return a == ta and b == tb
-
-    else:
-        n1, m1 = lr
-        tl = t2.left.alpha.as_fraction() * m1
-        tl_num = tl.numerator if tl.denominator == 1 else None
-
-        def hit_left(a, b):
-            return tl_num is not None and a * n1 + b * m1 == tl_num
-
-    if pr is None:
-        tc, td = t2.right.witness
-
-        def hit_right(c, d):
-            return c == tc and d == td
-
-    else:
-        n2, m2 = pr
-        tr = t2.right.alpha.as_fraction() * m2
-        tr_num = tr.numerator if tr.denominator == 1 else None
-
-        def hit_right(c, d):
-            return tr_num is not None and c * n2 + d * m2 == tr_num
-
-    moves = [(0, 1, -1, 0), (0, -1, 1, 0)]
-    if lr is not None:
-        n1, m1 = lr
-        moves += [(m1, -n1, 0, 0), (-m1, n1, 0, 0)]
-    if pr is not None:
-        n2, m2 = pr
-        moves += [(0, 0, m2, -n2), (0, 0, -m2, n2)]
-
-    seen = {start}
-    queue = deque([start])
-    pruned = False
-    while queue:
-        a, b, c, d = queue.popleft()
-        if hit_left(a, b) and hit_right(c, d):
-            return RewriteVerdict(True, False)
-        for da, db, dc, dd in moves:
-            na, nb, nc, nd = a + da, b + db, c + dc, d + dd
-            if na < 0 or nb < 0 or nc < 0 or nd < 0:
-                continue
-            if na > bound or nb > bound or nc > bound or nd > bound:
-                pruned = True
-                continue
-            state = (na, nb, nc, nd)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    return RewriteVerdict(False, pruned)
+    return RewriteVerdict(_power_key(t1, 1, lr, pr) == _power_key(t2, 1, lr, pr), False)
 
 
 def tensor_power(t: SimpleTensor, k: int, lam, lamp) -> SimpleTensor:
@@ -201,7 +168,7 @@ def tensor_power(t: SimpleTensor, k: int, lam, lamp) -> SimpleTensor:
 @dataclass(frozen=True)
 class ReducedVerdict:
     equivalent: bool
-    inconclusive: bool
+    inconclusive: bool  # always False: the decision is exact
     power: int | None = None  # certifying power when equivalent
 
     def to_json(self) -> dict:
@@ -219,26 +186,37 @@ def reduced_equiv(
 
     A chain between the k-th powers certifies reduced equality: if
     t1^k = t2^k then multiplying both tensors by (t1 + t2)^(k-1) gives
-    the same element, so the reduction map identifies t1 and t2.  For
-    rational slopes n1/m1, n2/m2 a certifying power never needs to
-    exceed m1*m2 (the chain moves the left coefficient in steps of m1
-    and transfers middle multiples in steps of m2); irrational legs gain
-    nothing from powers because no move changes the irrational
-    coefficient, so the default cap is 1 there.
+    the same element, so the reduction map identifies t1 and t2.  The
+    verdict names the least k <= ``max_power`` whose powers have equal
+    class keys (``_class_key`` of the witnesses scaled by k).
+
+    The default cap is sufficient.  Let V = (a*lam + b + c)*lam' + d be
+    the composite value of witnesses (a, b) (x) (c, d): every move keeps
+    V, the k-th power has value k*V, and V is a function of the key.
+    - Two rational slopes n1/m1, n2/m2: the key of the (m1*m2)-th power
+      is (0, 0, m1*m2*V), so reduced equality holds iff V1 == V2, and the
+      default cap m1*m2 reaches that power.
+    - One rational, one irrational slope: the key at power 1 is already a
+      function of V (the irrational factor pins the coefficient it
+      multiplies, the rational one a remainder and its quotient), so
+      powers add nothing and the cap is 1.
+    - Two irrational slopes: key(k*t) = k*key(t), so no power merges
+      tensors with distinct keys, in particular not the deformed witness
+      pair of ``compose``; the cap is 1.
+
+    ``bound`` limits nothing; it stays for callers that pass it, and a
+    value below 1 raises ``ValueError``.
     """
     lam, lamp = check_positive(lam), check_positive(lamp)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    lr, pr = _rational_parts(lam), _rational_parts(lamp)
     if max_power is None:
-        lr, pr = _rational_parts(lam), _rational_parts(lamp)
         max_power = lr[1] * pr[1] if lr and pr else 1
-    inconclusive = False
     for k in range(1, max_power + 1):
-        verdict = rewrite_equiv(
-            tensor_power(t1, k, lam, lamp), tensor_power(t2, k, lam, lamp), lam, lamp, bound
-        )
-        if verdict.equivalent:
+        if _power_key(t1, k, lr, pr) == _power_key(t2, k, lr, pr):
             return ReducedVerdict(True, False, k)
-        inconclusive |= verdict.inconclusive
-    return ReducedVerdict(False, inconclusive, None)
+    return ReducedVerdict(False, False, None)
 
 
 CASE_RATIONAL = "rational-rational"
@@ -303,7 +281,8 @@ def verify_composition(
     after reduction (undeformed) or separate it definitively at every
     power with distinct germ slopes (deformed).  Irrational products
     must evaluate injectively on the probe grid.  Any disagreement turns
-    ``ok`` off; callers treat that as a hard failure.
+    ``ok`` off; callers treat that as a hard failure.  ``bound`` is passed
+    on to ``reduced_equiv``, where it limits nothing.
     """
     lam, lamp = check_positive(lam), check_positive(lamp)
     checks: dict = {"case": result.case}
@@ -321,7 +300,7 @@ def verify_composition(
         checks["rewrite"] = verdict.to_json()
         ok &= g1.base == g2.base
         if result.deformed:
-            ok &= (not verdict.equivalent) and not verdict.inconclusive
+            ok &= not verdict.equivalent
             ok &= g1.slope_plus != g2.slope_plus
         else:
             ok &= verdict.equivalent

@@ -38,6 +38,15 @@ def minimal_points(points) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def json_points(raw) -> list[tuple[int, int]]:
+    """Points decoded from JSON: pairs of exact ints, no floats or booleans."""
+    points = [tuple(p) for p in raw]
+    for p in points:
+        if len(p) != 2 or any(type(x) is not int for x in p):
+            raise ValueError(f"point must be a pair of integers, got {list(p)!r}")
+    return points
+
+
 class HereditarySet:
     """Up-set of N x N represented by its minimal-point staircase."""
 
@@ -149,7 +158,7 @@ class HereditarySet:
 
     @classmethod
     def from_json(cls, obj) -> "HereditarySet":
-        return cls(obj["generators"])
+        return cls(json_points(obj["generators"]))
 
 
 ZERO_SET = HereditarySet()

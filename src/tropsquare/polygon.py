@@ -19,7 +19,7 @@ import random
 
 from .errors import ZeroImage
 from .scalars import INF, as_scalar, sign_of
-from .hereditary import HereditarySet, minimal_points, random_set
+from .hereditary import HereditarySet, json_points, minimal_points, random_set
 from .semiring import Semiring
 
 
@@ -160,7 +160,7 @@ class NewtonPolygon:
 
     @classmethod
     def from_json(cls, obj) -> "NewtonPolygon":
-        return cls(obj["vertices"])
+        return cls(json_points(obj["vertices"]))
 
 
 ZERO_POLYGON = NewtonPolygon()

@@ -201,13 +201,13 @@ class ExactScalar:
             return ExactScalar(other)
         return None
 
-    def _common_radicand(self, o) -> int:
-        """The radicand of a sum or difference with ``o``."""
+    def _common_radicand(self, o, op: str = "add") -> int:
+        """The radicand of a sum, difference or comparison (``op``) with ``o``."""
         if self.d == o.d or not o.d:
             return self.d
         if not self.d:
             return o.d
-        raise IncompatibleRadicals(f"cannot add sqrt({self.d}) and sqrt({o.d}) terms")
+        raise IncompatibleRadicals(f"cannot {op} sqrt({self.d}) and sqrt({o.d}) terms")
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -295,7 +295,7 @@ class ExactScalar:
 
     def _diff_sign(self, o) -> int:
         """Sign of ``self - o`` from integer cross-products, building no scalar."""
-        d = self._common_radicand(o)
+        d = self._common_radicand(o, "compare")
         a, oa = self.a, o.a
         na = a.numerator * oa.denominator - oa.numerator * a.denominator
         if not d:

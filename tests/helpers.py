@@ -2,18 +2,21 @@
 
 Nothing here reuses the code paths under test: membership and hulls are
 decided by direction-grid exposure over rasterized windows, Minkowski
-sums by shifting bit matrices, and scalar signs by 100-digit interval
-arithmetic.
+sums by shifting bit matrices, scalar signs by 100-digit interval
+arithmetic, and tensor rewriting by a bounded breadth-first search over
+the relation moves.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import numpy as np
 from mpmath import iv
 
-from tropsquare import ExactScalar, HereditarySet, as_scalar
+from tropsquare import ExactScalar, HereditarySet, RewriteVerdict, SimpleTensor, as_scalar
+from tropsquare.correspondence import check_positive
 
 iv.dps = 100
 
@@ -90,6 +93,99 @@ def raster_minkowski(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for x, y in np.argwhere(a):
         out[x:, y:] |= b[: n - x, : n - y]
     return out
+
+
+# -- tensor rewriting -------------------------------------------------------
+
+
+def _rational_parts(lam: ExactScalar):
+    if lam.is_rational:
+        f = lam.as_fraction()
+        return f.numerator, f.denominator
+    return None
+
+
+def bfs_rewrite_equiv(
+    t1: SimpleTensor, t2: SimpleTensor, lam, lamp, bound: int = 64
+) -> RewriteVerdict:
+    """Bounded search for a chain of relation moves from t1 to t2.
+
+    Moves: unit crossings in both directions and, for rational slopes,
+    value-preserving re-witnessing inside either leg.  All intermediate
+    witness coordinates stay within [0, bound].  A positive answer is
+    sound; a negative answer is definitive only when no move was pruned
+    by the bound (otherwise ``inconclusive`` is set).
+    """
+    lam, lamp = check_positive(lam), check_positive(lamp)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if t1.is_zero or t2.is_zero:
+        return RewriteVerdict(t1.is_zero and t2.is_zero, False)
+    if t1 == t2:
+        return RewriteVerdict(True, False)
+
+    start = (*t1.left.witness, *t1.right.witness)
+    if max(start) > bound:
+        return RewriteVerdict(False, True)
+
+    lr, pr = _rational_parts(lam), _rational_parts(lamp)
+
+    # integer-only target predicate
+    if lr is None:
+        ta, tb = t2.left.witness
+
+        def hit_left(a, b):
+            return a == ta and b == tb
+
+    else:
+        n1, m1 = lr
+        tl = t2.left.alpha.as_fraction() * m1
+        tl_num = tl.numerator if tl.denominator == 1 else None
+
+        def hit_left(a, b):
+            return tl_num is not None and a * n1 + b * m1 == tl_num
+
+    if pr is None:
+        tc, td = t2.right.witness
+
+        def hit_right(c, d):
+            return c == tc and d == td
+
+    else:
+        n2, m2 = pr
+        tr = t2.right.alpha.as_fraction() * m2
+        tr_num = tr.numerator if tr.denominator == 1 else None
+
+        def hit_right(c, d):
+            return tr_num is not None and c * n2 + d * m2 == tr_num
+
+    moves = [(0, 1, -1, 0), (0, -1, 1, 0)]
+    if lr is not None:
+        n1, m1 = lr
+        moves += [(m1, -n1, 0, 0), (-m1, n1, 0, 0)]
+    if pr is not None:
+        n2, m2 = pr
+        moves += [(0, 0, m2, -n2), (0, 0, -m2, n2)]
+
+    seen = {start}
+    queue = deque([start])
+    pruned = False
+    while queue:
+        a, b, c, d = queue.popleft()
+        if hit_left(a, b) and hit_right(c, d):
+            return RewriteVerdict(True, False)
+        for da, db, dc, dd in moves:
+            na, nb, nc, nd = a + da, b + db, c + dc, d + dd
+            if na < 0 or nb < 0 or nc < 0 or nd < 0:
+                continue
+            if na > bound or nb > bound or nc > bound or nd > bound:
+                pruned = True
+                continue
+            state = (na, nb, nc, nd)
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
+    return RewriteVerdict(False, pruned)
 
 
 # -- random inputs ------------------------------------------------------------

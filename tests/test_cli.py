@@ -118,6 +118,23 @@ def test_compose_command(capsys):
     )
     assert out["rho"] == "3/8" and out["deformed"] is False
     assert out["verification"]["ok"] is True
+    # the witness (65, 0) lies past the verify bound 64, which limits nothing
+    out = run_json(
+        capsys, "compose", "--left", "7/5", "--right", "11/13", "--verify-bound", "64"
+    )
+    assert out["witnesses"] == [[65, 0], [0, 77]]
+    assert out["verification"]["ok"] is True
+    assert out["verification"]["rewrite"] == {"equivalent": True, "inconclusive": False, "power": 1}
+
+
+def test_compose_failed_verification_exits_1(capsys, monkeypatch):
+    from tropsquare import cli
+
+    monkeypatch.setattr(cli, "verify_composition", lambda *a, **k: {"case": "stub", "ok": False})
+    code, out = run_cli(capsys, "compose", "--left", "1/2", "--right", "3/4", "--verify-bound", "8")
+    assert code == 1
+    assert json.loads(out)["verification"] == {"case": "stub", "ok": False}
+    assert run_cli(capsys, "compose", "--left", "1/2", "--right", "3/4")[0] == 0
 
 
 def test_axioms_deterministic(capsys):
@@ -145,6 +162,25 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     assert code == 2
     code, _ = run_cli(capsys, "eval", "--lambda", "worst", "--input", str(bad))
     assert code == 2
+    # float and boolean coordinates are rejected, not truncated
+    sets, polys = tmp_path / "sets.json", tmp_path / "polys.json"
+    sets.write_text(json.dumps({"generators": [[1.7, 2], [True, 5]]}))
+    polys.write_text(json.dumps({"vertices": [[1.7, 2], [True, 5]]}))
+    good, hull = tmp_path / "good.json", tmp_path / "hull.json"
+    good.write_text(json.dumps(E4_JSON))
+    hull.write_text(json.dumps({"vertices": [[0, 8], [2, 5], [7, 0]]}))
+    for argv in (
+        ("iso", "--l1", "1/0", "--l2", "1"),
+        ("eval", "--lambda", "1/0", "--input", str(good)),
+        ("compose", "--left", "1/0", "--right", "1/2"),
+        ("compose", "--left", "1/2", "--right", "1+1/0*sqrt:2"),
+        ("hereditary", "weighted-degree", "--input", str(good)),
+        ("hereditary", "canonicalize", "--input", str(sets)),
+        ("newton", "hull", "--input", str(sets)),
+        ("newton", "support", "--x", "1", "--y", "1", "--input", str(polys)),
+        ("newton", "support", "--y", "1", "--input", str(hull)),
+    ):
+        assert run_cli(capsys, *argv) == (2, ""), argv
 
 
 def test_usage_error_exit_code(capsys):

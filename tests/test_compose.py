@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import bfs_rewrite_equiv
 
 from tropsquare import (
     GermExponent,
@@ -78,7 +79,7 @@ def test_composed_action_exponents():
             assert germ_evaluate(witness_tensor(lam, lamp, (0, n)), lam, lamp).base == n
 
 
-# -- bounded rewriting ----------------------------------------------------------------
+# -- rewriting ------------------------------------------------------------------------
 
 
 def test_rewrite_frozen_rational_identification():
@@ -139,13 +140,16 @@ def test_rewrite_sound_on_random_walks():
         assert a * rho + (b + c) * lamp + d == e * rho + (f + g) * lamp + h
 
 
-def test_rewrite_bound_exhaustion_is_flagged():
+def test_rewrite_decides_past_the_bound():
+    # the witness (0, 2) is past bound 1, which limits nothing
     lam, lamp = as_scalar(2), HALF
     t1 = SimpleTensor.from_witnesses(lam, lamp, (0, 2), (0, 0))
     t2 = SimpleTensor.from_witnesses(lam, lamp, (0, 0), (0, 1))
-    # bound 1 cannot even hold the starting witness
     verdict = rewrite_equiv(t1, t2, lam, lamp, bound=1)
-    assert not verdict.equivalent and verdict.inconclusive
+    assert verdict.equivalent and not verdict.inconclusive
+    for decide in (rewrite_equiv, reduced_equiv):
+        with pytest.raises(ValueError):
+            decide(t1, t2, lam, lamp, bound=0)
 
 
 # -- composition law -------------------------------------------------------------------
@@ -224,6 +228,102 @@ def test_rewrite_never_merges_distinct_values():
                 bound=24,
             )
             assert not verdict.equivalent
+
+
+# -- exact decision against the bounded search -------------------------------------
+
+
+def _moves(lam, lamp):
+    moves = [(0, 1, -1, 0), (0, -1, 1, 0)]
+    if lam.is_rational:
+        f = lam.as_fraction()
+        moves += [(f.denominator, -f.numerator, 0, 0), (-f.denominator, f.numerator, 0, 0)]
+    if lamp.is_rational:
+        f = lamp.as_fraction()
+        moves += [(0, 0, f.denominator, -f.numerator), (0, 0, -f.denominator, f.numerator)]
+    return moves
+
+
+def _walk(rng, state, moves, steps):
+    for _ in range(steps):
+        legal = [[s + m for s, m in zip(state, mv)] for mv in moves]
+        legal = [n for n in legal if min(n) >= 0]
+        if not legal:
+            break
+        state = rng.choice(legal)
+    return state
+
+
+def _oracle_reduced(t1, t2, lam, lamp, bound, max_power):
+    """Least power the bounded search certifies, and whether every power
+    below it (or every power, when none does) was decided."""
+    for k in range(1, max_power + 1):
+        verdict = bfs_rewrite_equiv(
+            tensor_power(t1, k, lam, lamp), tensor_power(t2, k, lam, lamp), lam, lamp, bound
+        )
+        if verdict.equivalent:
+            return k, True
+        if verdict.inconclusive:
+            return None, False
+    return None, True
+
+
+_ORACLE_PAIRS = [
+    (HALF, THREEQ),
+    (as_scalar(2), HALF),
+    (as_scalar(Fraction(3, 2)), as_scalar(Fraction(4, 3))),
+    (as_scalar(Fraction(5, 6)), as_scalar(Fraction(2, 5))),
+    (HALF, S2),
+    (S3, as_scalar(Fraction(5, 7))),
+    (as_scalar(Fraction(3, 2)), surd(5)),
+    (S2, S2),
+    (S3, S3),
+    (surd(5), surd(5)),
+]
+
+
+@pytest.mark.parametrize("lam,lamp", _ORACLE_PAIRS)
+def test_exact_decision_agrees_with_bounded_search(lam, lamp):
+    rng = random.Random(f"{lam}|{lamp}")
+    moves = _moves(lam, lamp)
+    max_power = (
+        lam.as_fraction().denominator * lamp.as_fraction().denominator
+        if lam.is_rational and lamp.is_rational
+        else 1
+    )
+    pairs = []
+    for i in range(40):
+        w1 = [rng.randint(0, 6) for _ in range(4)]
+        w2 = _walk(rng, w1, moves, rng.randint(1, 6)) if i % 2 else [rng.randint(0, 6) for _ in range(4)]
+        pairs.append((w1, w2))
+    # generated-part collisions, some of which need a power to merge
+    points = [(a, d) for a in range(7) for d in range(7)]
+    pairs += [([a, 0, 0, d], [e, 0, 0, h]) for (a, d) in points for (e, h) in points
+              if (a, d) < (e, h) and a * lam * lamp + d == e * lam * lamp + h]
+    tally = {"rewrite": 0, "reduced": 0, "merged": 0, "separated": 0}
+    for w1, w2 in pairs:
+        t1 = SimpleTensor.from_witnesses(lam, lamp, w1[:2], w1[2:])
+        t2 = SimpleTensor.from_witnesses(lam, lamp, w2[:2], w2[2:])
+        direct = rewrite_equiv(t1, t2, lam, lamp)
+        reduced = reduced_equiv(t1, t2, lam, lamp)
+        assert not direct.inconclusive and not reduced.inconclusive
+        oracle = bfs_rewrite_equiv(t1, t2, lam, lamp, bound=24)
+        if not oracle.inconclusive:
+            tally["rewrite"] += 1
+            assert direct.equivalent == oracle.equivalent, (w1, w2)
+        power, conclusive = _oracle_reduced(t1, t2, lam, lamp, 24, max_power)
+        if conclusive:
+            tally["reduced"] += 1
+            assert reduced.power == power, (w1, w2)
+        assert reduced.equivalent == (reduced.power is not None)
+        tally["merged" if reduced.equivalent else "separated"] += 1
+        if lam.is_rational or lamp.is_rational:
+            v1 = (w1[0] * lam + w1[1] + w1[2]) * lamp + w1[3]
+            v2 = (w2[0] * lam + w2[1] + w2[2]) * lamp + w2[3]
+            assert reduced.equivalent == (v1 == v2), (w1, w2)
+    # the comparison is not vacuous: both verdicts occur and most pairs are checked
+    assert tally["merged"] and tally["separated"]
+    assert min(tally["rewrite"], tally["reduced"]) >= len(pairs) // 4, tally
 
 
 def test_compose_three_cases_frozen():

@@ -191,3 +191,9 @@ def test_membership_matches_generators(points):
 def test_json_roundtrip():
     assert HereditarySet.from_json(E4.to_json()) == E4
     assert HereditarySet.from_json(ZERO_SET.to_json()) == ZERO_SET
+
+
+@pytest.mark.parametrize("point", [[1.7, 2], [True, 5], [2, 3.0], [1, False], [1, 2, 3], ["1", 2]])
+def test_json_rejects_inexact_coordinates(point):
+    with pytest.raises(ValueError):
+        HereditarySet.from_json({"generators": [[0, 9], point]})

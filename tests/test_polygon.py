@@ -246,3 +246,9 @@ def test_json_roundtrip():
     c = convex_closure(E4)
     assert NewtonPolygon.from_json(c.to_json()) == c
     assert NewtonPolygon.from_json(ZERO_POLYGON.to_json()) == ZERO_POLYGON
+
+
+@pytest.mark.parametrize("point", [[1.7, 2], [True, 5], [2, 3.0], [1, False], [1, 2, 3], ["1", 2]])
+def test_json_rejects_inexact_coordinates(point):
+    with pytest.raises(ValueError):
+        NewtonPolygon.from_json({"vertices": [[0, 9], point]})

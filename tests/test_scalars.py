@@ -91,8 +91,11 @@ def test_compare_mixed_radicals_raises():
         lambda: surd(2) < surd(3), lambda: surd(5) >= surd(6),
         lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y,
     ):
-        with pytest.raises(IncompatibleRadicals):
+        with pytest.raises(IncompatibleRadicals, match="cannot compare"):
             cmp()
+    for op in (lambda: x + y, lambda: x - y):
+        with pytest.raises(IncompatibleRadicals, match="cannot add sqrt"):
+            op()
     # equality across radicands is structurally decidable
     assert surd(2) != surd(3)
     assert not (surd(2) == surd(3))
