@@ -193,6 +193,9 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    if args.iters < 1:
+        # zero iterations would report every law as passed
+        raise MalformedInput(f"--iters must be at least 1, got {args.iters}")
     registry = standard_instances()
     if args.instance is not None:
         if args.instance not in registry:

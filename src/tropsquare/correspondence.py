@@ -91,6 +91,14 @@ class CorrespondenceElement:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "witness", witness)
 
+    @classmethod
+    def _make(cls, alpha: ExactScalar, witness) -> "CorrespondenceElement":
+        """Trusted constructor for a finite value that is already a scalar."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "witness", witness)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("CorrespondenceElement is immutable")
 
@@ -247,7 +255,7 @@ def value_semiring(lam, max_coord: int = 8) -> Semiring:
     def _mul(x, y):
         if x.is_zero or y.is_zero:
             return CorrespondenceElement.zero()
-        return CorrespondenceElement(
+        return CorrespondenceElement._make(
             x.alpha + y.alpha,
             (x.witness[0] + y.witness[0], x.witness[1] + y.witness[1]),
         )

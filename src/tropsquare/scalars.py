@@ -6,7 +6,9 @@ Three layers, all exact:
   (neutral for ``min``, absorbing for ``+``).
 * ``ExactScalar`` — numbers of the form ``a + b*sqrt(d)`` with rational
   ``a, b`` and squarefree ``d``; comparison is decided by sign rules and
-  squaring, never by floating point.
+  squaring, never by floating point.  A rational part is an ``int`` when
+  it is integral and a ``Fraction`` otherwise, so whole-number exponents
+  never pay for ``Fraction`` arithmetic.
 * ``GermExponent`` — the germ at 0 of a piecewise-linear function
   ``eps -> base + slope*eps`` with one slope per side of 0.
 
@@ -97,7 +99,13 @@ def _sign(q) -> int:
     return (q > 0) - (q < 0)
 
 
-_ZERO = Fraction(0)
+_ZERO = 0
+
+
+def _part(q):
+    """Canonical rational part: the ``int`` when ``q`` is integral, else
+    ``q`` itself, a ``Fraction`` with denominator > 1."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
 
 
 def _surd_sign(a: int, b: int, d: int) -> int:
@@ -116,8 +124,11 @@ class ExactScalar:
     """Canonical quadratic surd ``a + b*sqrt(d)``.
 
     Canonical form: ``b == 0`` forces ``d == 0``; otherwise ``d`` is
-    squarefree and at least 2.  Equality and hashing are structural, which
-    matches value equality because the canonical form is unique.
+    squarefree and at least 2.  Each of ``a`` and ``b`` is an ``int`` when
+    it is integral and otherwise a ``Fraction`` in lowest terms with
+    denominator > 1; ``d`` is an ``int``.  Equality and hashing are
+    structural, which matches value equality because the canonical form is
+    unique (and ``2 == Fraction(2)`` with equal hashes).
     """
 
     __slots__ = ("a", "b", "d")
@@ -125,40 +136,41 @@ class ExactScalar:
     def __init__(self, a=0, b=0, d=0):
         if isinstance(a, float) or isinstance(b, float):
             raise TypeError("exact scalars take int or Fraction parts, not float")
-        if type(a) is not Fraction:
+        if type(a) is not int and type(a) is not Fraction:
             a = Fraction(a)
-        if type(b) is not Fraction:
+        if type(b) is not int and type(b) is not Fraction:
             b = Fraction(b)
         d = int(d)
         if d < 0:
             raise ValueError("radicand must be non-negative")
         if b == 0 or d == 0:
             # b*sqrt(0) contributes nothing
-            b, d = Fraction(0), 0
+            b, d = _ZERO, 0
         else:
             s, f = _squarefree(d)
             b *= s
             d = f
             if d == 1:
                 a += b
-                b = Fraction(0)
+                b = _ZERO
                 d = 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", _part(a))
+        object.__setattr__(self, "b", _part(b))
         object.__setattr__(self, "d", d)
 
     @classmethod
-    def _make(cls, a: Fraction, b: Fraction, d: int) -> "ExactScalar":
+    def _make(cls, a, b, d: int) -> "ExactScalar":
         """Trusted constructor for results that are canonical by construction.
 
-        ``a`` and ``b`` must be Fractions and ``d`` squarefree and at least
-        2, or 0; only ``b == 0`` is normalized (to ``d == 0``).  Nothing is
-        checked or factored: outside input goes through ``ExactScalar(...)``.
+        ``a`` and ``b`` must be ints or Fractions and ``d`` squarefree and
+        at least 2, or 0; only integral parts (to ``int``) and ``b == 0``
+        (to ``d == 0``) are normalized.  Nothing is checked or factored:
+        outside input goes through ``ExactScalar(...)``.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _part(a))
         if b:
-            object.__setattr__(self, "b", b)
+            object.__setattr__(self, "b", _part(b))
             object.__setattr__(self, "d", d)
         else:
             object.__setattr__(self, "b", _ZERO)
@@ -177,7 +189,7 @@ class ExactScalar:
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self!r} is irrational")
-        return self.a
+        return Fraction(self.a)
 
     def sign(self) -> int:
         a, b = self.a, self.b
@@ -192,7 +204,7 @@ class ExactScalar:
         if t is ExactScalar:
             return other
         if t is int:
-            return ExactScalar._make(Fraction(other), _ZERO, 0)
+            return ExactScalar._make(other, _ZERO, 0)
         if t is Fraction:
             return ExactScalar._make(other, _ZERO, 0)
         if isinstance(other, ExactScalar):
@@ -213,6 +225,10 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.b:
+            return ExactScalar._make(self.a + o.a, self.b, self.d)
+        if not self.b:
+            return ExactScalar._make(self.a + o.a, o.b, o.d)
         return ExactScalar._make(self.a + o.a, self.b + o.b, self._common_radicand(o))
 
     __radd__ = __add__
@@ -224,6 +240,10 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.b:
+            return ExactScalar._make(self.a - o.a, self.b, self.d)
+        if not self.b:
+            return ExactScalar._make(self.a - o.a, -o.b, o.d)
         return ExactScalar._make(self.a - o.a, self.b - o.b, self._common_radicand(o))
 
     def __rsub__(self, other):
@@ -259,11 +279,12 @@ class ExactScalar:
     def inverse(self) -> "ExactScalar":
         if self.sign() == 0:
             raise ZeroDivisionError("zero scalar has no inverse")
+        # parts may be ints, so every quotient is built as a Fraction
         if self.is_rational:
-            return ExactScalar._make(1 / self.a, _ZERO, 0)
+            return ExactScalar._make(Fraction(1, self.a), _ZERO, 0)
         denom = self.a * self.a - self.b * self.b * self.d
         # denom == 0 would force sqrt(d) rational
-        return ExactScalar._make(self.a / denom, -self.b / denom, self.d)
+        return ExactScalar._make(Fraction(self.a, denom), Fraction(-self.b, denom), self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -440,12 +461,6 @@ def scalar_from_json(obj) -> ExactScalar:
 
 def natinf_to_json(x):
     return "inf" if x is INF else int(x)
-
-
-def natinf_from_json(obj):
-    if obj == "inf":
-        return INF
-    return int(obj)
 
 
 # -- germs ---------------------------------------------------------------

@@ -179,6 +179,8 @@ def test_malformed_input_exit_code(capsys, tmp_path):
         ("newton", "hull", "--input", str(sets)),
         ("newton", "support", "--x", "1", "--y", "1", "--input", str(polys)),
         ("newton", "support", "--y", "1", "--input", str(hull)),
+        ("axioms", "--iters", "0"),
+        ("axioms", "--iters", "-5", "--instance", "nat-min-plus"),
     ):
         assert run_cli(capsys, *argv) == (2, ""), argv
 

@@ -183,11 +183,16 @@ def test_infinity_absorbs():
 # -- trusted arithmetic against the public constructor ---------------------------
 
 
+def _is_canonical_part(q) -> bool:
+    """An int iff integral, else a Fraction with denominator > 1; never a float."""
+    return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
 def _assert_canonical(r: ExactScalar):
     rebuilt = ExactScalar(r.a, r.b, r.d)
     assert (r.a, r.b, r.d) == (rebuilt.a, rebuilt.b, rebuilt.d)
     assert hash(r) == hash(rebuilt)
-    assert type(r.a) is Fraction and type(r.b) is Fraction and type(r.d) is int
+    assert _is_canonical_part(r.a) and _is_canonical_part(r.b) and type(r.d) is int
     assert (r.b == 0) == (r.d == 0)
     if r.d:
         assert r.d >= 2
@@ -210,11 +215,12 @@ def test_trusted_results_are_canonical(xa, xb, ya, yb, d, y_rational):
     assert x + y == ExactScalar(x.a + y.a, x.b + y.b, d)
     assert x - y == ExactScalar(x.a - y.a, x.b - y.b, d)
     assert x * y == ExactScalar(x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a, d)
-    for z in (x, y):
+    for z, w in ((x, y), (y, x)):
         if z.sign() != 0:
             inv = z.inverse()
             assert inv * z == 1
-            results.append(inv)
+            assert w / z == w * inv
+            results += [inv, w / z]
     for r in results:
         _assert_canonical(r)
 
@@ -234,6 +240,47 @@ def test_trusted_results_under_cancellation():
     assert surd(6) * surd(2) == ExactScalar(0, 2, 3)
     _assert_canonical(surd(2) * surd(2))
     _assert_canonical(as_scalar(Fraction(4, 3)).inverse())
+
+
+def test_integral_parts_are_ints():
+    x = ExactScalar(Fraction(6, 2), Fraction(4, 2), 8)
+    assert (x.a, x.b, x.d) == (3, 4, 2) and type(x.a) is int and type(x.b) is int
+    assert type(ExactScalar(True).a) is int and type(surd(4).a) is int
+    assert type(ExactScalar(0, Fraction(1, 2), 8).b) is int  # 1/2 * 2*sqrt(2)
+    halves = ExactScalar(Fraction(1, 2)) + Fraction(1, 2)
+    assert type(halves.a) is int and halves == 1
+    y = ExactScalar(Fraction(5, 2), 3, 2)
+    for r in (x + 1, 1 + x, x - 1, 1 - x, x * 2, 2 * x, -x, x + y, x - y, y - x, x * y,
+              y + Fraction(1, 2), y * 2, y - Fraction(1, 2), ExactScalar(5) + 7):
+        _assert_canonical(r)
+
+
+def test_inverse_and_division_never_float():
+    three = ExactScalar(3)
+    assert three.inverse() == Fraction(1, 3) and type(three.inverse().a) is Fraction
+    assert ExactScalar(-1).inverse() == -1 and type(ExactScalar(-1).inverse().a) is int
+    x = ExactScalar(1, 1, 2)
+    assert x.inverse() == ExactScalar(-1, 1, 2)  # (1 + sqrt 2)(sqrt 2 - 1) = 1
+    assert ExactScalar(1, 2, 3).inverse() == ExactScalar(Fraction(-1, 11), Fraction(2, 11), 3)
+    results = [
+        three.inverse(), ExactScalar(-1).inverse(), x.inverse(),
+        ExactScalar(1, 2, 3).inverse(), as_scalar(Fraction(2, 3)).inverse(),
+        three / 3, three / 2, 6 / three, 1 / three, three / Fraction(3, 4),
+        x / x, x / 2, 2 / x, surd(2) / surd(2), surd(2) / 2, three / x,
+    ]
+    assert three / 3 == 1 and three / 2 == Fraction(3, 2) and 6 / three == 2
+    assert x / x == 1 and surd(2) / 2 == ExactScalar(0, Fraction(1, 2), 2)
+    for r in results:
+        _assert_canonical(r)
+
+
+def test_as_fraction_returns_fraction():
+    for q in (3, Fraction(7, 3), 0, -2, Fraction(-1, 2)):
+        f = ExactScalar(q).as_fraction()
+        assert type(f) is Fraction and f == q
+    assert type((surd(2) * surd(2)).as_fraction()) is Fraction
+    with pytest.raises(ValueError):
+        surd(2).as_fraction()
 
 
 # -- comparison edge cases -------------------------------------------------------
@@ -350,6 +397,8 @@ def _assert_public_germ(r: GermExponent):
     assert r == rebuilt and hash(r) == hash(rebuilt)
     if not r.is_zero:
         assert all(type(v) is ExactScalar for v in (r.base, r.slope_plus, r.slope_minus))
+        for v in (r.base, r.slope_plus, r.slope_minus):
+            _assert_canonical(v)
         assert r.slope_plus <= r.slope_minus
 
 
@@ -366,6 +415,18 @@ def test_germ_fast_path_matches_public_constructor():
             germ_min(germ_add(x, z), y, one_sided=True),
         ):
             _assert_public_germ(r)
+
+
+def test_germ_arithmetic_on_integral_germs():
+    x, y = g(3, 1, 2), g(3, 0, 3)
+    for r in (germ_add(x, y), germ_min(x, y), germ_min(x, y, one_sided=True),
+              germ_min(g(1, 1, 3), g(4, 0, 0), one_sided=True)):
+        _assert_public_germ(r)
+        assert all(type(v.a) is int for v in (r.base, r.slope_plus, r.slope_minus))
+    assert germ_add(x, y) == g(6, 1, 5) and germ_min(x, y) == g(3, 0, 3)
+    h = g(Fraction(1, 2), 0, Fraction(1, 2))
+    _assert_public_germ(germ_add(h, h))
+    assert type(germ_add(h, h).base.a) is int and germ_add(h, h) == g(1, 0, 1)
 
 
 @given(germs, germs, germs)

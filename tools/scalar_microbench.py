@@ -8,7 +8,9 @@ Prints one line per operation with its cost in nanoseconds: construct
 floor and ``germ_add``.  Each row times a loop over 64 seeded operand
 pairs (half rational, half over ``sqrt(2)``) with ``timeit`` and reports
 the fastest of five runs divided by the number of operations, so
-the figure includes the loop's own small overhead.
+the figure includes the loop's own small overhead.  The ``_int`` rows
+(add, mul, ``==``) time 64 pairs of integral scalars, the whole-number
+exponents that germs and correspondence values are made of.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ def _operands():
         base = rng.randint(0, 12)
         sm = rng.randint(0, base)
         germs.append(GermExponent(base, rng.randint(0, sm), sm))
-    return parts, pairs, list(zip(germs[0::2], germs[1::2])), scalars
+    ints = [ExactScalar(rng.randint(0, 24)) for _ in range(2 * PAIRS)]
+    int_pairs = list(zip(ints[0::2], ints[1::2]))
+    return parts, pairs, list(zip(germs[0::2], germs[1::2])), scalars, int_pairs
 
 
 ROWS = {
@@ -52,14 +56,18 @@ ROWS = {
     "compare": "for x, y in pairs: x < y",
     "floor": "for x in scalars: x.floor()",
     "germ_add": "for g, h in germs: germ_add(g, h)",
+    "add_int": "for x, y in int_pairs: x + y",
+    "mul_int": "for x, y in int_pairs: x * y",
+    "eq_int": "for x, y in int_pairs: x == y",
 }
 
 
 def measure() -> dict[str, float]:
-    parts, pairs, germs, scalars = _operands()
+    parts, pairs, germs, scalars, int_pairs = _operands()
     env = {
         "ExactScalar": ExactScalar, "germ_add": germ_add,
         "parts": parts, "pairs": pairs, "germs": germs, "scalars": scalars,
+        "int_pairs": int_pairs,
     }
     sizes = {"construct": len(parts), "floor": len(scalars)}
     out = {}
