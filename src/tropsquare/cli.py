@@ -6,6 +6,10 @@ full result on stdout), 2 on malformed input or usage errors.
 
 Slope arguments use the compact scalar syntax: ``p/q`` for rationals,
 ``sqrt:d`` or ``a+b*sqrt:d`` for quadratic surds.
+
+Sizes whose cost grows without bound are capped here, at the CLI
+boundary only (the library stays unlimited); a value over its cap is a
+``LimitExceeded`` domain error, raised before any work.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .correspondence import (
     iso_invariant,
     lambda_to_json,
 )
-from .errors import DomainError
+from .errors import DomainError, LimitExceeded
 from .figure import ALL_LAYERS, FigureSpec, emit_figure
 from .hereditary import HereditarySet
 from .instances import standard_instances
@@ -38,8 +42,22 @@ from .semigroup import conductor, gaps, represents
 from .semiring import axiom_suite
 
 
+# ``hereditary rasterize`` and ``figure`` emit window**2 cells
+MAX_WINDOW = 1000
+# ``approx`` convergents grow linearly in bit-length, so its output grows
+# quadratically with depth
+MAX_DEPTH = 1000
+# ``semigroup --gaps`` lists (n-1)(m-1)/2 naturals
+MAX_GAPS_CONDUCTOR = 10**6
+
+
 class MalformedInput(Exception):
     pass
+
+
+def _check_limit(name: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise LimitExceeded(f"{name} {value} exceeds the CLI limit {limit}")
 
 
 def _read_json(path: str):
@@ -120,8 +138,9 @@ def _cmd_hereditary(args) -> int:
         alpha = Fraction(alpha)
         return _emit({"alpha": [alpha.numerator, alpha.denominator]})
     if op == "rasterize":
-        grid = e.rasterize(args.window)
-        return _emit({"window": args.window, "rows": grid.astype(int).tolist()})
+        _check_limit("--window", args.window, MAX_WINDOW)
+        rows = [list(map(int, row)) for row in e.rasterize(args.window)]
+        return _emit({"window": args.window, "rows": rows})
     raise AssertionError(op)
 
 
@@ -143,6 +162,8 @@ def _cmd_newton(args) -> int:
 
 def _cmd_semigroup(args) -> int:
     out = {"n": args.n, "m": args.m, "conductor": conductor(args.n, args.m)}
+    if args.gaps:
+        _check_limit("conductor", out["conductor"], MAX_GAPS_CONDUCTOR)
     if args.check is not None:
         out["check"] = args.check
         out["represents"] = represents(args.n, args.m, args.check)
@@ -168,6 +189,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    _check_limit("--depth", args.depth, MAX_DEPTH)
     lam = _parse_slope(args.lam)
     steps = approximate(lam, _load_set(args.input), args.depth)
     return _emit(
@@ -210,6 +232,7 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    _check_limit("--window", args.window, MAX_WINDOW)
     region = _load_set(args.input)
     lam = _parse_slope(args.lam) if args.lam is not None else None
     if args.layers is None:

@@ -36,3 +36,7 @@ class ZeroImage(DomainError):
 
 class WindowTooSmall(DomainError):
     """Figure window does not cover the generating points."""
+
+
+class LimitExceeded(DomainError):
+    """A CLI size argument exceeds its documented limit."""

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import ZeroScale
 from .scalars import INF, as_scalar
@@ -136,15 +135,21 @@ class HereditarySet:
 
     # -- windows -----------------------------------------------------------
 
-    def rasterize(self, window: int) -> np.ndarray:
-        """Membership table on [0, window) x [0, window); entry [a, b]."""
+    def rasterize(self, window: int) -> tuple[tuple[bool, ...], ...]:
+        """Membership table on [0, window) x [0, window); entry [a][b].
+
+        Built from the least first coordinate of a generator at or left
+        of each column: row ``a`` holds column ``c`` iff that least
+        coordinate is at most ``a``.
+        """
         if window < 1:
             raise ValueError("window must be >= 1")
-        grid = np.zeros((window, window), dtype=bool)
-        for a, b in self.generators:
-            if a < window and b < window:
-                grid[a:, b:] = True
-        return grid
+        first = [window] * window  # ``window`` reaches no row
+        for a, b in self.generators:  # second coordinates are distinct
+            if b < window:
+                first[b] = a
+        first = list(accumulate(first, min))
+        return tuple(tuple(f <= a for f in first) for a in range(window))
 
     def max_coordinate(self) -> int:
         if self.is_zero:

@@ -18,14 +18,14 @@ def _validate(n: int, m: int) -> None:
 
 
 def represents(n: int, m: int, c: int) -> bool:
-    """True iff c = n*a + m*b for some naturals a, b."""
+    """True iff c = n*a + m*b for some naturals a, b.
+
+    Any such ``a`` is congruent to ``c / n`` modulo ``m``, so ``c`` is
+    representable iff the least natural of that class, times ``n``, is
+    at most ``c``.
+    """
     _validate(n, m)
-    if c < 0:
-        return False
-    for a in range(c // n + 1):
-        if (c - n * a) % m == 0:
-            return True
-    return False
+    return c >= 0 and n * (c * pow(n, -1, m) % m) <= c
 
 
 def conductor(n: int, m: int) -> int:
@@ -37,4 +37,5 @@ def conductor(n: int, m: int) -> int:
 def gaps(n: int, m: int) -> list[int]:
     """Non-representable naturals below the conductor, ascending."""
     bound = conductor(n, m)
-    return [c for c in range(bound) if not represents(n, m, c)]
+    inv = pow(n, -1, m)  # the test of ``represents``, validated and inverted once
+    return [c for c in range(bound) if n * (c * inv % m) > c]

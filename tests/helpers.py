@@ -1,10 +1,11 @@
 """Independent oracles shared by the test modules.
 
 Nothing here reuses the code paths under test: membership and hulls are
-decided by direction-grid exposure over rasterized windows, Minkowski
-sums by shifting bit matrices, scalar signs by 100-digit interval
-arithmetic, and tensor rewriting by a bounded breadth-first search over
-the relation moves.
+decided by direction-grid exposure over rasterized windows, rasters by
+numpy slice filling, Minkowski sums by shifting bit matrices, scalar
+signs by 100-digit interval arithmetic, semigroup membership by trying
+every first coefficient, and tensor rewriting by a bounded breadth-first
+search over the relation moves.
 """
 
 from __future__ import annotations
@@ -86,6 +87,22 @@ def region_contains(points, cell, window: int) -> bool:
     return bool(((ws @ cell) >= (pts @ ws.T).min(axis=0)).all())
 
 
+def numpy_rasterize(gens, window: int) -> np.ndarray:
+    """Membership table on [0, window) x [0, window); entry [a, b]."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    grid = np.zeros((window, window), dtype=bool)
+    for a, b in gens:
+        if a < window and b < window:
+            grid[a:, b:] = True
+    return grid
+
+
+def raster(e: HereditarySet, window: int) -> np.ndarray:
+    """``e.rasterize(window)`` as a boolean matrix."""
+    return np.array(e.rasterize(window), dtype=bool)
+
+
 def raster_minkowski(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minkowski sum of two bit matrices, truncated to the shared window."""
     n = a.shape[0]
@@ -93,6 +110,19 @@ def raster_minkowski(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for x, y in np.argwhere(a):
         out[x:, y:] |= b[: n - x, : n - y]
     return out
+
+
+# -- numerical semigroups ----------------------------------------------------
+
+
+def loop_represents(n: int, m: int, c: int) -> bool:
+    """True iff c = n*a + m*b for some naturals a, b, trying every a."""
+    if c < 0:
+        return False
+    for a in range(c // n + 1):
+        if (c - n * a) % m == 0:
+            return True
+    return False
 
 
 # -- tensor rewriting -------------------------------------------------------

@@ -34,7 +34,7 @@ from tropsquare import (
 )
 from tropsquare.cli import main as cli_main
 
-from helpers import random_hset, raster_minkowski
+from helpers import random_hset, raster, raster_minkowski
 
 E4 = HereditarySet([(0, 8), (2, 5), (5, 3), (7, 0)])
 E3 = HereditarySet([(0, 8), (2, 5), (7, 0)])
@@ -65,8 +65,8 @@ def test_criterion_02_product_matches_raster_oracle():
     for _ in range(500):
         e = random_hset(rng, 15, 5)
         f = random_hset(rng, 15, 5)
-        got = (e * f).rasterize(window)
-        want = raster_minkowski(e.rasterize(window), f.rasterize(window))
+        got = raster(e * f, window)
+        want = raster_minkowski(raster(e, window), raster(f, window))
         if not np.array_equal(got, want):
             bad += 1
     elapsed = time.monotonic() - t0

@@ -1,13 +1,15 @@
 """CLI surface: JSON round-trips, exit codes, golden figure output."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from tropsquare.cli import main
+from tropsquare.cli import MAX_DEPTH, MAX_GAPS_CONDUCTOR, MAX_WINDOW, main
 
 GOLDEN = Path(__file__).parent / "golden" / "figure1.svg"
 
@@ -185,6 +187,26 @@ def test_malformed_input_exit_code(capsys, tmp_path):
         assert run_cli(capsys, *argv) == (2, ""), argv
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (("hereditary", "rasterize", "--window", "100000"), MAX_WINDOW),
+        (("figure", "--window", "100000"), MAX_WINDOW),
+        (("approx", "--lambda", "sqrt:2", "--depth", str(10**6)), MAX_DEPTH),
+        (("semigroup", "--n", "100003", "--m", "100019", "--gaps"), MAX_GAPS_CONDUCTOR),
+    ],
+)
+def test_limit_exceeded_exit_code(capsys, e4_file, argv, limit):
+    if argv[0] != "semigroup":
+        argv += ("--input", e4_file)
+    start = time.monotonic()
+    code, out = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "LimitExceeded" and f"limit {limit}" in error["message"]
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 
@@ -260,3 +282,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["isomorphic"] is True
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """numpy is a test dependency only; importing the CLI must not load it."""
+    src = Path(__file__).parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tropsquare.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tropsquare import (
     HereditarySet,
@@ -17,7 +17,7 @@ from tropsquare import (
     hereditary_semiring,
 )
 
-from helpers import random_hset, raster_minkowski
+from helpers import numpy_rasterize, random_hset, raster, raster_minkowski
 
 E4 = HereditarySet([(0, 8), (2, 5), (5, 3), (7, 0)])
 
@@ -79,8 +79,8 @@ def test_mul_matches_raster_oracle():
     for _ in range(200):
         e, f = random_hset(rng, 9, 4), random_hset(rng, 9, 4)
         window = 19  # covers sums of coordinates up to 9 + 9
-        got = (e * f).rasterize(window)
-        want = raster_minkowski(e.rasterize(window), f.rasterize(window))
+        got = raster(e * f, window)
+        want = raster_minkowski(raster(e, window), raster(f, window))
         assert np.array_equal(got, want)
 
 
@@ -88,12 +88,12 @@ def test_add_matches_raster_union():
     rng = random.Random(78)
     two = HereditarySet([(1, 0)]) + HereditarySet([(0, 1)])
     assert np.array_equal(
-        two.rasterize(10),
-        HereditarySet([(1, 0)]).rasterize(10) | HereditarySet([(0, 1)]).rasterize(10),
+        raster(two, 10),
+        raster(HereditarySet([(1, 0)]), 10) | raster(HereditarySet([(0, 1)]), 10),
     )
     for _ in range(200):
         e, f = random_hset(rng, 9, 4), random_hset(rng, 9, 4)
-        assert np.array_equal((e + f).rasterize(10), e.rasterize(10) | f.rasterize(10))
+        assert np.array_equal(raster(e + f, 10), raster(e, 10) | raster(f, 10))
 
 
 def test_bilinearity_random():
@@ -171,12 +171,31 @@ def test_weighted_degree_scaling_bridge():
 
 
 def test_rasterize_frozen():
-    assert UNIT_SET.rasterize(3).all()
-    assert not ZERO_SET.rasterize(3).any()
-    grid = HereditarySet([(1, 1)]).rasterize(3)
+    assert raster(UNIT_SET, 3).all()
+    assert not raster(ZERO_SET, 3).any()
+    grid = raster(HereditarySet([(1, 1)]), 3)
     want = np.zeros((3, 3), dtype=bool)
     want[1:, 1:] = True
     assert np.array_equal(grid, want)
+    with pytest.raises(ValueError):
+        UNIT_SET.rasterize(0)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=8),
+    st.integers(1, 12),
+)
+@example([], 3)  # ZERO_SET
+@example([(0, 0)], 3)  # UNIT_SET
+@example([(0, 0)], 1)
+@example([(2, 0)], 1)
+@example([(13, 0), (0, 13)], 5)  # every generator outside the window
+@example([(3, 4), (1, 4), (6, 4), (2, 7)], 8)  # duplicate columns
+def test_rasterize_matches_numpy_oracle(points, window):
+    grid = HereditarySet(points).rasterize(window)
+    assert type(grid) is tuple and all(type(row) is tuple for row in grid)
+    assert all(type(x) is bool for row in grid for x in row)
+    assert np.array_equal(np.array(grid, dtype=bool), numpy_rasterize(points, window))
 
 
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=6))

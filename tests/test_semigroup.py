@@ -4,10 +4,11 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tropsquare import conductor, gaps, represents
 
-from helpers import random_hset
+from helpers import loop_represents, random_hset
 
 
 def test_represents_frozen():
@@ -47,6 +48,28 @@ def test_conductor_bound_sweep():
                 assert not represents(n, m, c - 1)
             # gap count below the conductor is exactly half of it
             assert len(gaps(n, m)) == c // 2 and c % 2 == 0
+
+
+@st.composite
+def _queries(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 40).filter(lambda m: gcd(n, m) == 1))
+    # the conductor (n-1)(m-1) lies inside this range
+    return n, m, draw(st.integers(-5, 2 * n * m))
+
+
+@given(_queries())
+@example((1, 1, 0))
+@example((1, 7, 3))
+@example((9, 1, 4))
+@example((3, 5, -1))
+@example((3, 5, 7))  # conductor - 1
+@example((3, 5, 8))  # conductor
+@example((39, 40, 39 * 38 - 1))
+def test_closed_form_matches_loop(query):
+    n, m, c = query
+    assert represents(n, m, c) == loop_represents(n, m, c)
+    assert gaps(n, m) == [k for k in range(conductor(n, m)) if not loop_represents(n, m, k)]
 
 
 def test_scaled_diagonal_degree_is_representable():
