@@ -12,6 +12,7 @@ import pytest
 from tropsquare.cli import MAX_DEPTH, MAX_GAPS_CONDUCTOR, MAX_WINDOW, main
 
 GOLDEN = Path(__file__).parent / "golden" / "figure1.svg"
+TOUR_GOLDEN = Path(__file__).parent / "golden" / "cli_tour.jsonl"
 
 E4_JSON = {"generators": [[0, 8], [2, 5], [5, 3], [7, 0]]}
 
@@ -272,6 +273,17 @@ def test_figure_degenerate_regions():
     full = emit_figure(FigureSpec(region=HereditarySet([(0, 0)]), window=3))
     # full quadrant: every cell filled, hull reduced to the corner vertex
     assert full.count("#f2d88a") == 9 and "polyline" in full
+
+
+def test_cli_tour_matches_golden(capsys, tmp_path, monkeypatch):
+    """Replay the transcript written by ``tools/capture_cli_tour.py``: the
+    README tour plus the ``"inf"``, surd and domain-error outputs."""
+    header, *records = map(json.loads, TOUR_GOLDEN.read_text().splitlines())
+    for name, content in header["files"].items():
+        (tmp_path / name).write_text(json.dumps(content))
+    monkeypatch.chdir(tmp_path)
+    for rec in records:
+        assert run_cli(capsys, *rec["argv"]) == (rec["exit"], rec["stdout"]), rec["argv"]
 
 
 def test_module_entry_point():
