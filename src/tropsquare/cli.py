@@ -33,9 +33,11 @@ from .hereditary import HereditarySet
 from .instances import standard_instances
 from .polygon import NewtonPolygon, convex_closure
 from .scalars import (
-    INF,
+    _SURD_RE,
     format_scalar_spec,
+    inf_or,
     parse_scalar_spec,
+    rational_to_json,
     scalar_to_json,
 )
 from .semigroup import conductor, gaps, represents
@@ -49,6 +51,9 @@ MAX_WINDOW = 1000
 MAX_DEPTH = 1000
 # ``semigroup --gaps`` lists (n-1)(m-1)/2 naturals
 MAX_GAPS_CONDUCTOR = 10**6
+# a slope's radicand ``d`` is made squarefree by trial division up to
+# sqrt(d); 10**12 + 39 takes about 0.2 s
+MAX_RADICAND = 10**12
 
 
 class MalformedInput(Exception):
@@ -70,16 +75,10 @@ def _read_json(path: str):
         raise MalformedInput(f"{path}: {exc}") from exc
 
 
-def _load_set(path: str) -> HereditarySet:
+def _load(cls, path: str):
+    """A ``HereditarySet`` or ``NewtonPolygon`` read from a JSON file."""
     try:
-        return HereditarySet.from_json(_read_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"{path}: {exc}") from exc
-
-
-def _load_polygon(path: str) -> NewtonPolygon:
-    try:
-        return NewtonPolygon.from_json(_read_json(path))
+        return cls.from_json(_read_json(path))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"{path}: {exc}") from exc
 
@@ -87,6 +86,9 @@ def _load_polygon(path: str) -> NewtonPolygon:
 def _parse_slope(text: str | None):
     if text is None:
         raise MalformedInput("missing slope argument")
+    m = _SURD_RE.match(text.strip())
+    if m:
+        _check_limit("radicand", int(m.group("d")), MAX_RADICAND)
     try:
         return parse_scalar_spec(text)
     except ValueError as exc:
@@ -109,34 +111,25 @@ def _emit(obj) -> int:
     return 0
 
 
-def _exponent_json(x):
-    return "inf" if x is INF else scalar_to_json(x)
-
-
 # -- handlers ---------------------------------------------------------------
 
 
 def _cmd_hereditary(args) -> int:
     op = args.op
     if op in ("add", "mul"):
-        lhs, rhs = _load_set(args.lhs), _load_set(args.rhs)
+        lhs, rhs = _load(HereditarySet, args.lhs), _load(HereditarySet, args.rhs)
         out = lhs + rhs if op == "add" else lhs * rhs
         return _emit(out.to_json())
-    e = _load_set(args.input)
+    e = _load(HereditarySet, args.input)
     if op == "canonicalize":
         return _emit(e.to_json())
     if op == "scale":
         return _emit(e.scale(args.n, args.m).to_json())
     if op == "degree":
-        t = e.min_degree()
-        return _emit({"exponent": "inf" if t is INF else t})
+        return _emit({"exponent": inf_or(e.min_degree(), int)})
     if op == "weighted-degree":
-        r = _parse_fraction(args.r)
-        alpha = e.weighted_degree(r)
-        if alpha is INF:
-            return _emit({"alpha": "inf"})
-        alpha = Fraction(alpha)
-        return _emit({"alpha": [alpha.numerator, alpha.denominator]})
+        alpha = e.weighted_degree(_parse_fraction(args.r))
+        return _emit({"alpha": inf_or(alpha, rational_to_json)})
     if op == "rasterize":
         _check_limit("--window", args.window, MAX_WINDOW)
         rows = [list(map(int, row)) for row in e.rasterize(args.window)]
@@ -147,16 +140,15 @@ def _cmd_hereditary(args) -> int:
 def _cmd_newton(args) -> int:
     op = args.op
     if op in ("add", "mul"):
-        lhs, rhs = _load_polygon(args.lhs), _load_polygon(args.rhs)
+        lhs, rhs = _load(NewtonPolygon, args.lhs), _load(NewtonPolygon, args.rhs)
         out = lhs + rhs if op == "add" else lhs * rhs
         return _emit(out.to_json())
     if op == "hull":
-        return _emit(convex_closure(_load_set(args.input)).to_json())
+        return _emit(convex_closure(_load(HereditarySet, args.input)).to_json())
     if op == "support":
-        poly = _load_polygon(args.input)
+        poly = _load(NewtonPolygon, args.input)
         wx, wy = _parse_slope(args.x), _parse_slope(args.y)
-        val = poly.support(wx, wy)
-        return _emit({"value": _exponent_json(val)})
+        return _emit({"value": inf_or(poly.support(wx, wy), scalar_to_json)})
     raise AssertionError(op)
 
 
@@ -174,7 +166,7 @@ def _cmd_semigroup(args) -> int:
 
 def _cmd_eval(args) -> int:
     lam = _parse_slope(args.lam)
-    elem = evaluate(_load_set(args.input), lam)
+    elem = evaluate(_load(HereditarySet, args.input), lam)
     return _emit({"lambda": lambda_to_json(lam), **elem.to_json()})
 
 
@@ -191,7 +183,7 @@ def _cmd_iso(args) -> int:
 def _cmd_approx(args) -> int:
     _check_limit("--depth", args.depth, MAX_DEPTH)
     lam = _parse_slope(args.lam)
-    steps = approximate(lam, _load_set(args.input), args.depth)
+    steps = approximate(lam, _load(HereditarySet, args.input), args.depth)
     return _emit(
         {
             "lambda": lambda_to_json(lam),
@@ -233,7 +225,7 @@ def _cmd_axioms(args) -> int:
 
 def _cmd_figure(args) -> int:
     _check_limit("--window", args.window, MAX_WINDOW)
-    region = _load_set(args.input)
+    region = _load(HereditarySet, args.input)
     lam = _parse_slope(args.lam) if args.lam is not None else None
     if args.layers is None:
         layers = ALL_LAYERS

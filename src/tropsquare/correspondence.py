@@ -34,6 +34,10 @@ from .scalars import (
     format_scalar_spec,
     germ_add,
     germ_min,
+    inf_or,
+    rational_from_json,
+    rational_to_json,
+    scalar_from_json,
     scalar_to_json,
 )
 from .semiring import Semiring
@@ -50,27 +54,16 @@ def lambda_to_json(lam) -> dict:
     """Tagged JSON form of a slope: rational or quadratic."""
     lam = check_positive(lam)
     if lam.is_rational:
-        f = lam.as_fraction()
-        return {"kind": "rational", "num": f.numerator, "den": f.denominator}
-    return {
-        "kind": "quadratic",
-        "a": [lam.a.numerator, lam.a.denominator],
-        "b": [lam.b.numerator, lam.b.denominator],
-        "d": lam.d,
-    }
+        num, den = rational_to_json(lam.a)
+        return {"kind": "rational", "num": num, "den": den}
+    return {"kind": "quadratic", **scalar_to_json(lam)}
 
 
 def lambda_from_json(obj) -> ExactScalar:
     if obj["kind"] == "rational":
-        return check_positive(Fraction(obj["num"], obj["den"]))
+        return check_positive(rational_from_json([obj["num"], obj["den"]]))
     if obj["kind"] == "quadratic":
-        return check_positive(
-            ExactScalar(
-                Fraction(obj["a"][0], obj["a"][1]),
-                Fraction(obj["b"][0], obj["b"][1]),
-                obj["d"],
-            )
-        )
+        return check_positive(scalar_from_json(obj))
     raise ValueError(f"unknown slope kind {obj.get('kind')!r}")
 
 
@@ -132,7 +125,7 @@ class CorrespondenceElement:
 
     def to_json(self) -> dict:
         return {
-            "alpha": "inf" if self.is_zero else scalar_to_json(self.alpha),
+            "alpha": inf_or(self.alpha, scalar_to_json),
             "witness": list(self.witness) if self.witness else None,
         }
 
@@ -213,11 +206,8 @@ class ApproxStep:
 
     def to_json(self) -> dict:
         return {
-            "convergent": [self.convergent.numerator, self.convergent.denominator],
-            "alpha": "inf" if self.alpha is INF else [
-                Fraction(self.alpha).numerator,
-                Fraction(self.alpha).denominator,
-            ],
+            "convergent": rational_to_json(self.convergent),
+            "alpha": inf_or(self.alpha, rational_to_json),
             "bound": scalar_to_json(self.bound),
         }
 

@@ -69,12 +69,13 @@ def emit_figure(spec: FigureSpec) -> str:
     ]
 
     if "region" in spec.layers:
-        for a, b in ((a, b) for a in range(w) for b in range(w)):
-            if spec.region.contains(a, b):
-                lines.append(
-                    f'<rect x="{_fmt(px(a))}" y="{_fmt(py(b + 1))}" '
-                    f'width="{_CELL}" height="{_CELL}" fill="{_REGION_FILL}"/>'
-                )
+        for a, row in enumerate(spec.region.rasterize(w)):
+            for b, member in enumerate(row):
+                if member:
+                    lines.append(
+                        f'<rect x="{_fmt(px(a))}" y="{_fmt(py(b + 1))}" '
+                        f'width="{_CELL}" height="{_CELL}" fill="{_REGION_FILL}"/>'
+                    )
 
     for k in range(w + 1):
         lines.append(

@@ -267,9 +267,10 @@ class ExactScalar:
                 self.d,
             )
         if self.a == 0 and o.a == 0:
-            # pure radicals over different radicands stay quadratic; d*d'
-            # may have a square factor, so this one canonicalizes
-            return ExactScalar(0, self.b * o.b, self.d * o.d)
+            # g = gcd(d, d'): sqrt(d)*sqrt(d') = g*sqrt((d/g)*(d'/g)), and the
+            # cofactors of squarefree d, d' are coprime and squarefree
+            g = math.gcd(self.d, o.d)
+            return ExactScalar._make(0, self.b * o.b * g, (self.d // g) * (o.d // g))
         raise IncompatibleRadicals(
             f"product of sqrt({self.d}) and sqrt({o.d}) expressions is not quadratic"
         )
@@ -427,40 +428,50 @@ def parse_scalar_spec(text: str) -> ExactScalar:
 
 def format_scalar_spec(x) -> str:
     x = as_scalar(x)
+    # canonical parts are ints or Fractions with denominator > 1, whose
+    # str is already the spec text
     if x.is_rational:
-        q = x.as_fraction()
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return str(x.a)
     if x.a == 0 and x.b == 1:
         return f"sqrt:{x.d}"
-
-    def frac(q: Fraction) -> str:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-    return f"{frac(x.a)}+{frac(x.b)}*sqrt:{x.d}"
+    return f"{x.a}+{x.b}*sqrt:{x.d}"
 
 
 # -- JSON forms ----------------------------------------------------------
+#
+# The one place that decides how scalar-tower values are written to JSON
+# and read back; every rational pair, scalar object and "inf" is built here.
+
+
+def inf_or(x, encode):
+    """``"inf"`` for ``INF``, else ``encode(x)``: the JSON form of a value
+    that may be the tropical zero."""
+    return "inf" if x is INF else encode(x)
+
+
+def rational_to_json(q) -> list:
+    """``[numerator, denominator]`` of an int or Fraction, in lowest terms."""
+    return [q.numerator, q.denominator]
+
+
+def rational_from_json(pair) -> Fraction:
+    """Inverse of :func:`rational_to_json`; only a pair of exact ints with a
+    nonzero denominator is accepted, so a float or a boolean is rejected
+    rather than coerced."""
+    if len(pair) != 2 or any(type(p) is not int for p in pair) or not pair[1]:
+        raise ValueError(f"rational must be a pair of integers p, q != 0, got {pair!r}")
+    return Fraction(pair[0], pair[1])
 
 
 def scalar_to_json(x) -> dict:
     x = as_scalar(x)
-    return {
-        "a": [x.a.numerator, x.a.denominator],
-        "b": [x.b.numerator, x.b.denominator],
-        "d": x.d,
-    }
+    return {"a": rational_to_json(x.a), "b": rational_to_json(x.b), "d": x.d}
 
 
 def scalar_from_json(obj) -> ExactScalar:
-    return ExactScalar(
-        Fraction(obj["a"][0], obj["a"][1]),
-        Fraction(obj["b"][0], obj["b"][1]),
-        obj["d"],
-    )
-
-
-def natinf_to_json(x):
-    return "inf" if x is INF else int(x)
+    if type(obj["d"]) is not int:
+        raise ValueError(f"radicand must be an integer, got {obj['d']!r}")
+    return ExactScalar(rational_from_json(obj["a"]), rational_from_json(obj["b"]), obj["d"])
 
 
 # -- germs ---------------------------------------------------------------
@@ -528,7 +539,7 @@ class GermExponent:
 
     def to_json(self) -> dict:
         return {
-            "base": "inf" if self.is_zero else scalar_to_json(self.base),
+            "base": inf_or(self.base, scalar_to_json),
             "slope_plus": scalar_to_json(self.slope_plus),
             "slope_minus": scalar_to_json(self.slope_minus),
         }

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .errors import NonPositiveLambda
-from .scalars import INF, as_scalar, natinf_to_json, sign_of
+from .scalars import INF, as_scalar, inf_or, rational_to_json, sign_of
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ NAT_MIN_PLUS = Semiring(
     add=min,
     mul=operator.add,
     sample=_sample_nat,
-    encode=natinf_to_json,
+    encode=lambda x: inf_or(x, int),
 )
 
 
@@ -167,7 +167,7 @@ INT_MIN_PLUS = Semiring(
     add=min,
     mul=operator.add,
     sample=_sample_int,
-    encode=natinf_to_json,
+    encode=lambda x: inf_or(x, int),
 )
 
 
@@ -177,12 +177,6 @@ def _sample_rational(rng: random.Random):
     return Fraction(rng.randrange(-24, 25), rng.choice((1, 2, 3, 4, 6)))
 
 
-def _encode_rational(x):
-    if x is INF:
-        return "inf"
-    return [x.numerator, x.denominator]
-
-
 RATIONAL_MIN_PLUS = Semiring(
     name="rational-min-plus",
     zero=INF,
@@ -190,7 +184,7 @@ RATIONAL_MIN_PLUS = Semiring(
     add=min,
     mul=operator.add,
     sample=_sample_rational,
-    encode=_encode_rational,
+    encode=lambda x: inf_or(x, rational_to_json),
 )
 
 

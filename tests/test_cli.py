@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tropsquare.cli import MAX_DEPTH, MAX_GAPS_CONDUCTOR, MAX_WINDOW, main
+from tropsquare.cli import MAX_DEPTH, MAX_GAPS_CONDUCTOR, MAX_RADICAND, MAX_WINDOW, main
 
 GOLDEN = Path(__file__).parent / "golden" / "figure1.svg"
 TOUR_GOLDEN = Path(__file__).parent / "golden" / "cli_tour.jsonl"
@@ -188,18 +188,28 @@ def test_malformed_input_exit_code(capsys, tmp_path):
         assert run_cli(capsys, *argv) == (2, ""), argv
 
 
+# a prime radicand: squarefree factoring would trial-divide to 10**9
+BIG_SURD = "sqrt:1000000000000000003"
+
+
 @pytest.mark.parametrize(
     "argv, limit",
     [
-        (("hereditary", "rasterize", "--window", "100000"), MAX_WINDOW),
-        (("figure", "--window", "100000"), MAX_WINDOW),
-        (("approx", "--lambda", "sqrt:2", "--depth", str(10**6)), MAX_DEPTH),
+        (("hereditary", "rasterize", "--window", "100000", "--input", "E.json"), MAX_WINDOW),
+        (("figure", "--window", "100000", "--input", "E.json"), MAX_WINDOW),
+        (("approx", "--lambda", "sqrt:2", "--depth", str(10**6), "--input", "E.json"), MAX_DEPTH),
         (("semigroup", "--n", "100003", "--m", "100019", "--gaps"), MAX_GAPS_CONDUCTOR),
+        (("approx", "--lambda", BIG_SURD, "--depth", "3", "--input", "E.json"), MAX_RADICAND),
+        (("iso", "--l1", BIG_SURD, "--l2", "1"), MAX_RADICAND),
+        (("eval", "--lambda", "1+1/2*" + BIG_SURD, "--input", "E.json"), MAX_RADICAND),
+        (("compose", "--left", "1/2", "--right", BIG_SURD), MAX_RADICAND),
+        (("newton", "support", "--x", BIG_SURD, "--y", "1", "--input", "H.json"), MAX_RADICAND),
     ],
 )
-def test_limit_exceeded_exit_code(capsys, e4_file, argv, limit):
-    if argv[0] != "semigroup":
-        argv += ("--input", e4_file)
+def test_limit_exceeded_exit_code(capsys, tmp_path, monkeypatch, argv, limit):
+    (tmp_path / "E.json").write_text(json.dumps(E4_JSON))
+    (tmp_path / "H.json").write_text(json.dumps({"vertices": [[0, 8], [2, 5], [7, 0]]}))
+    monkeypatch.chdir(tmp_path)
     start = time.monotonic()
     code, out = run_cli(capsys, *argv)
     assert time.monotonic() - start < 1.0

@@ -166,6 +166,15 @@ def test_lambda_json_roundtrip():
         lambda_from_json({"kind": "rational", "num": -1, "den": 2})
     with pytest.raises(ValueError):
         lambda_from_json({"kind": "cubic"})
+    # booleans and floats are rejected, not read as 1/2 or truncated
+    for bad in (
+        {"kind": "rational", "num": True, "den": 2},
+        {"kind": "rational", "num": 1, "den": 2.0},
+        {"kind": "quadratic", "a": [0, 1], "b": [1, 1], "d": 2.5},
+        {"kind": "quadratic", "a": [0.5, 1], "b": [1, 1], "d": 2},
+    ):
+        with pytest.raises(ValueError):
+            lambda_from_json(bad)
 
 
 def farey_grid(max_den: int = 10):

@@ -18,6 +18,8 @@ from tropsquare import (
     format_scalar_spec,
     germ_add,
     germ_min,
+    lambda_from_json,
+    lambda_to_json,
     parse_scalar_spec,
     scalar_from_json,
     scalar_to_json,
@@ -25,6 +27,7 @@ from tropsquare import (
 )
 
 from tropsquare.correspondence import random_germ
+from tropsquare.scalars import inf_or, rational_from_json, rational_to_json
 
 from helpers import interval_sign
 
@@ -130,6 +133,11 @@ def test_products_across_radicands():
     assert surd(2) * surd(3) == surd(6)
     assert surd(2) * surd(2) == as_scalar(2)
     assert surd(6) * surd(2) == ExactScalar(0, 2, 3)
+    assert surd(6 * 1000003) * surd(10 * 1000003) == ExactScalar(0, 2 * 1000003, 15)
+    # radicands near 10**12 multiply without factoring their product
+    p, q = 999999999989, 999999999961
+    big = ExactScalar._make(0, 1, p) * ExactScalar._make(0, Fraction(1, 3), q)
+    assert (big.a, big.b, big.d) == (0, Fraction(1, 3), p * q)
     with pytest.raises(IncompatibleRadicals):
         ExactScalar(1, 1, 2) * ExactScalar(1, 1, 3)
     with pytest.raises(IncompatibleRadicals):
@@ -238,6 +246,7 @@ def test_trusted_results_under_cancellation():
     assert conj == -1 and conj.d == 0
     _assert_canonical(surd(6) * surd(2))
     assert surd(6) * surd(2) == ExactScalar(0, 2, 3)
+    _assert_canonical(surd(6 * 1000003) * surd(10 * 1000003))
     _assert_canonical(surd(2) * surd(2))
     _assert_canonical(as_scalar(Fraction(4, 3)).inverse())
 
@@ -328,8 +337,31 @@ def test_float_operand_still_type_error():
 )
 def test_json_and_spec_roundtrip(a, b, d):
     x = ExactScalar(a, b, d)
+    for q in (a, b, x.a, x.b):
+        pair = rational_to_json(q)
+        assert all(type(p) is int for p in pair)
+        assert rational_from_json(pair) == q
     assert scalar_from_json(scalar_to_json(x)) == x
     assert parse_scalar_spec(format_scalar_spec(x)) == x
+    lam = abs(x) + 1  # slopes are positive
+    assert lambda_from_json(lambda_to_json(lam)) == lam
+    assert inf_or(x, scalar_to_json) == scalar_to_json(x)
+    assert inf_or(INF, scalar_to_json) == "inf"
+
+
+@pytest.mark.parametrize("bad", [[True, 1], [1, False], [1.5, 2], [1, 2.0], [1], [1, 2, 3], [1, 0]])
+def test_json_decoders_reject_inexact_numbers(bad):
+    """A float, a boolean, a wrong length or a zero denominator is rejected,
+    never coerced."""
+    with pytest.raises(ValueError):
+        rational_from_json(bad)
+    with pytest.raises(ValueError):
+        scalar_from_json({"a": bad, "b": [1, 1], "d": 2})
+    with pytest.raises(ValueError):
+        scalar_from_json({"a": [1, 1], "b": bad, "d": 2})
+    for d in (2.0, True):
+        with pytest.raises(ValueError):
+            scalar_from_json({"a": [1, 1], "b": [1, 1], "d": d})
 
 
 def test_spec_string_examples():

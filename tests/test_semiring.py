@@ -29,6 +29,15 @@ def test_scalar_instances_pass(sr):
     assert report.passed, report.to_json()
 
 
+def test_scalar_instance_encodings():
+    """Counterexamples are written in the JSON forms of the README."""
+    for sr in (NAT_MIN_PLUS, INT_MIN_PLUS, RATIONAL_MIN_PLUS):
+        assert sr.encode(INF) == "inf"
+    assert NAT_MIN_PLUS.encode(7) == 7 and INT_MIN_PLUS.encode(-3) == -3
+    assert RATIONAL_MIN_PLUS.encode(Fraction(-7, 2)) == [-7, 2]
+    assert RATIONAL_MIN_PLUS.encode(0) == [0, 1]
+
+
 def test_broken_instance_reports_counterexample():
     broken = Semiring(
         name="broken-noncommutative-add",
