@@ -10,7 +10,9 @@ holds the input files themselves, so
 ``tests/test_cli.py::test_cli_tour_matches_golden`` can replay the
 transcript without this script.  The commands are the README tour (the
 figure written to stdout) plus the empty-set cases that print ``"inf"``,
-surd slopes and domain errors.  Rerun it only when an output is meant to
+surd slopes, domain errors, and the up-set and polygon sums, hulls and
+products on two 30-to-40-generator staircases whose pairwise sums share
+columns.  Rerun it only when an output is meant to
 change, and review the diff of the golden file.
 """
 
@@ -31,11 +33,19 @@ from tropsquare.cli import main  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden" / "cli_tour.jsonl"
 
+# strictly decreasing second coordinates: one staircase convex, one zigzag
+STAIR_A = [[i, (40 - i) ** 2 // 4] for i in range(36)]
+STAIR_B = [[2 * j + j % 2, 3 * (34 - j) + j % 2] for j in range(31)]
+
 FILES = {
     "E.json": {"generators": [[0, 8], [2, 5], [5, 3], [7, 0]]},
     "H.json": {"vertices": [[0, 8], [2, 5], [7, 0]]},
     "empty.json": {"generators": []},
     "empty_poly.json": {"vertices": []},
+    "A.json": {"generators": STAIR_A},
+    "B.json": {"generators": STAIR_B},
+    "PA.json": {"vertices": STAIR_A},
+    "PB.json": {"vertices": STAIR_B},
 }
 
 TOUR = [
@@ -73,6 +83,17 @@ TOUR = [
     # domain errors (exit 1)
     "eval --lambda 0 --input E.json",
     "approx --lambda 3/2 --input E.json",
+    # sums, hulls and products of larger staircases
+    "hereditary add --lhs A.json --rhs B.json",
+    "hereditary add --lhs E.json --rhs empty.json",
+    "hereditary mul --lhs A.json --rhs B.json",
+    "hereditary mul --lhs B.json --rhs A.json",
+    "hereditary mul --lhs A.json --rhs empty.json",
+    "newton hull --input A.json",
+    "newton hull --input B.json",
+    "newton add --lhs PA.json --rhs PB.json",
+    "newton add --lhs H.json --rhs empty_poly.json",
+    "newton mul --lhs PA.json --rhs PB.json",
 ]
 
 
