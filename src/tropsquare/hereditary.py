@@ -11,12 +11,27 @@ as zero and the full quadrant ``{(0,0)}`` as one.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 
 from .errors import ZeroScale
 from .scalars import INF, as_scalar
 from .semiring import Semiring
+
+
+def _prefix_min(pts) -> tuple[tuple[int, int], ...]:
+    """Minimal points of ``pts`` given sorted (first coordinate, then
+    second, ascending): each point whose second coordinate is below that
+    of every earlier one."""
+    out = []
+    least = None
+    for p in pts:
+        if least is None or p[1] < least:
+            out.append(p)
+            least = p[1]
+    return tuple(out)
 
 
 def minimal_points(points) -> tuple[tuple[int, int], ...]:
@@ -28,13 +43,7 @@ def minimal_points(points) -> tuple[tuple[int, int], ...]:
     pts = sorted({(int(a), int(b)) for a, b in points})
     if pts and (pts[0][0] < 0 or min(b for _, b in pts) < 0):
         raise ValueError("points must have non-negative coordinates")
-    out = []
-    best = None
-    for a, b in pts:
-        if best is None or b < best:
-            out.append((a, b))
-            best = b
-    return tuple(out)
+    return _prefix_min(pts)
 
 
 def json_points(raw) -> list[tuple[int, int]]:
@@ -68,7 +77,10 @@ class HereditarySet:
         return not self.generators
 
     def contains(self, a: int, b: int) -> bool:
-        return any(ga <= a and gb <= b for ga, gb in self.generators)
+        """Membership: the last generator with first coordinate <= ``a``
+        has the least second coordinate of all of them."""
+        i = bisect_right(self.generators, a, key=itemgetter(0))
+        return i > 0 and self.generators[i - 1][1] <= b
 
     def __eq__(self, other):
         if not isinstance(other, HereditarySet):
@@ -84,15 +96,25 @@ class HereditarySet:
     # -- semiring operations ---------------------------------------------
 
     def __add__(self, other: "HereditarySet") -> "HereditarySet":
-        """Union, re-canonicalized."""
-        return HereditarySet._wrap(minimal_points(self.generators + other.generators))
+        """Union: one scan over the merge of the two staircases."""
+        return HereditarySet._wrap(_prefix_min(sorted(self.generators + other.generators)))
 
     def __mul__(self, other: "HereditarySet") -> "HereditarySet":
-        """Pointwise sums of members: Minkowski sum of the up-sets."""
-        sums = [
-            (a + c, b + d) for a, b in self.generators for c, d in other.generators
-        ]
-        return HereditarySet._wrap(minimal_points(sums))
+        """Pointwise sums of members: Minkowski sum of the up-sets.
+
+        Keeps the least second coordinate per column of the ``k*k'`` sums,
+        then scans the columns once; the output can still be ``k*k'``.
+        """
+        best = {}
+        get = best.get
+        for a, b in self.generators:
+            for c, d in other.generators:
+                x = a + c
+                y = b + d
+                old = get(x)
+                if old is None or y < old:
+                    best[x] = y
+        return HereditarySet._wrap(_prefix_min(sorted(best.items())))
 
     def scale(self, n: int, m: int) -> "HereditarySet":
         """Coordinatewise scaling (a, b) -> (n*a, m*b); an endomorphism."""

@@ -16,10 +16,12 @@ All arithmetic is exact integer arithmetic (cross products); no floats.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from operator import itemgetter
 
 from .errors import ZeroImage
 from .scalars import INF, as_scalar, sign_of
-from .hereditary import HereditarySet, json_points, minimal_points, random_set
+from .hereditary import HereditarySet, _prefix_min, json_points, minimal_points, random_set
 from .semiring import Semiring
 
 
@@ -30,9 +32,13 @@ def _cross(p, q, r) -> int:
 
 
 def _staircase_hull(points) -> tuple[tuple[int, int], ...]:
-    pts = minimal_points(points)
+    return _hull_scan(minimal_points(points))
+
+
+def _hull_scan(staircase) -> tuple[tuple[int, int], ...]:
+    """Extreme-point chain of a canonical staircase."""
     out: list[tuple[int, int]] = []
-    for p in pts:
+    for p in staircase:
         while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
             out.pop()
         out.append(p)
@@ -79,7 +85,7 @@ class NewtonPolygon:
 
     def __add__(self, other: "NewtonPolygon") -> "NewtonPolygon":
         """Convex hull of the union of the two regions."""
-        return NewtonPolygon._wrap(_staircase_hull(self.vertices + other.vertices))
+        return NewtonPolygon._wrap(_hull_scan(_prefix_min(sorted(self.vertices + other.vertices))))
 
     def __mul__(self, other: "NewtonPolygon") -> "NewtonPolygon":
         """Minkowski sum via merge of edge vectors by increasing slope."""
@@ -123,12 +129,10 @@ class NewtonPolygon:
             return False
         if x >= v[-1][0]:
             return True  # y >= v[-1][1] already holds
-        for (x0, y0), (x1, y1) in zip(v, v[1:]):
-            if x0 <= x <= x1:
-                # above-or-on the edge, cross-multiplied to stay in integers
-                if (y - y0) * (x1 - x0) >= (y1 - y0) * (x - x0):
-                    return True
-        return False
+        i = bisect_right(v, x, key=itemgetter(0))  # the edge with x0 <= x < x1
+        (x0, y0), (x1, y1) = v[i - 1], v[i]
+        # above-or-on the edge, cross-multiplied to stay in integers
+        return (y - y0) * (x1 - x0) >= (y1 - y0) * (x - x0)
 
     def support(self, wx, wy):
         """Least value of ``wx*a + wy*b`` over the region.
@@ -173,7 +177,7 @@ def convex_closure(s: HereditarySet) -> NewtonPolygon:
     Surjective homomorphism; distinct up-sets with the same hull witness
     its non-injectivity.
     """
-    return NewtonPolygon(s.generators)
+    return NewtonPolygon._wrap(_hull_scan(s.generators))
 
 
 def cancels(p: NewtonPolygon, r: NewtonPolygon, s: NewtonPolygon) -> bool:

@@ -91,7 +91,7 @@ def _squarefree(n: int) -> tuple[int, int]:
         s *= k ** (e // 2)
         if e % 2:
             f *= k
-        k += 1
+        k += 1 if k == 2 else 2  # past 2, only odd divisors
     return s, f * n
 
 

@@ -5,7 +5,9 @@ decided by direction-grid exposure over rasterized windows, rasters by
 numpy slice filling, Minkowski sums by shifting bit matrices, scalar
 signs by 100-digit interval arithmetic, semigroup membership by trying
 every first coefficient, and tensor rewriting by a bounded breadth-first
-search over the relation moves.
+search over the relation moves.  The slow paths that fast ones replaced
+are kept here too: the all-pairs up-set product and union, the linear
+membership scans and trial division by every integer.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from mpmath import iv
 
 from tropsquare import ExactScalar, HereditarySet, RewriteVerdict, SimpleTensor, as_scalar
 from tropsquare.correspondence import check_positive
+from tropsquare.hereditary import minimal_points
 
 iv.dps = 100
 
@@ -112,6 +115,34 @@ def raster_minkowski(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def minkowski_oracle(gens, others) -> tuple[tuple[int, int], ...]:
+    """Staircase of the Minkowski sum: minimal points of all pairwise sums."""
+    return minimal_points([(a + c, b + d) for a, b in gens for c, d in others])
+
+
+def union_oracle(gens, others) -> tuple[tuple[int, int], ...]:
+    """Staircase of the union, re-canonicalized from scratch."""
+    return minimal_points(gens + others)
+
+
+def linear_contains(gens, a, b) -> bool:
+    """Up-set membership by scanning every generator."""
+    return any(ga <= a and gb <= b for ga, gb in gens)
+
+
+def linear_polygon_contains(vertices, x, y) -> bool:
+    """Polygon membership by scanning every edge of the vertex chain."""
+    v = vertices
+    if not v or x < v[0][0] or y < v[-1][1]:
+        return False
+    if x >= v[-1][0]:
+        return True
+    for (x0, y0), (x1, y1) in zip(v, v[1:]):
+        if x0 <= x <= x1 and (y - y0) * (x1 - x0) >= (y1 - y0) * (x - x0):
+            return True
+    return False
+
+
 # -- numerical semigroups ----------------------------------------------------
 
 
@@ -123,6 +154,25 @@ def loop_represents(n: int, m: int, c: int) -> bool:
         if (c - n * a) % m == 0:
             return True
     return False
+
+
+# -- radicands ----------------------------------------------------------------
+
+
+def squarefree_oracle(n: int) -> tuple[int, int]:
+    """Split n = s*s*f with f squarefree, trial-dividing by every k >= 2."""
+    s, f = 1, 1
+    k = 2
+    while k * k <= n:
+        e = 0
+        while n % k == 0:
+            n //= k
+            e += 1
+        s *= k ** (e // 2)
+        if e % 2:
+            f *= k
+        k += 1
+    return s, f * n
 
 
 # -- tensor rewriting -------------------------------------------------------

@@ -17,7 +17,15 @@ from tropsquare import (
     hereditary_semiring,
 )
 
-from helpers import numpy_rasterize, random_hset, raster, raster_minkowski
+from helpers import (
+    linear_contains,
+    minkowski_oracle,
+    numpy_rasterize,
+    random_hset,
+    raster,
+    raster_minkowski,
+    union_oracle,
+)
 
 E4 = HereditarySet([(0, 8), (2, 5), (5, 3), (7, 0)])
 
@@ -101,6 +109,41 @@ def test_bilinearity_random():
     for _ in range(1000):
         e, f, g = (random_hset(rng, 8, 3) for _ in range(3))
         assert (e + f) * g == e * g + f * g
+
+
+def spread_antichain(k: int, step: int) -> list[tuple[int, int]]:
+    """k generators ``step`` apart on both axes."""
+    return [(i * step, (k - 1 - i) * step) for i in range(k)]
+
+
+staircase_points = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=14)
+
+
+@given(staircase_points, staircase_points)
+@example([], [(1, 2), (0, 5)])  # ZERO_SET
+@example([(0, 0)], [(3, 1), (0, 5)])  # UNIT_SET
+@example([(0, 4), (1, 2), (2, 0)], [(0, 3), (1, 1), (2, 0)])  # duplicate sums in one column
+@example([(0, 4), (1, 2), (2, 0)], [(0, 4), (1, 2), (2, 0)])  # union of equal staircases
+@example(spread_antichain(7, 10), spread_antichain(9, 1))  # all k*k' sums minimal
+def test_fast_paths_match_oracles(points, others):
+    """Product, union and membership against the all-pairs product, the
+    re-canonicalized union and the linear scan, in both operand orders."""
+    e, f = HereditarySet(points), HereditarySet(others)
+    g, h = e.generators, f.generators
+    assert (e * f).generators == minkowski_oracle(g, h)
+    assert (f * e).generators == minkowski_oracle(h, g)
+    assert (e + f).generators == union_oracle(g, h)
+    assert (f + e).generators == union_oracle(h, g)
+    window = max(e.max_coordinate(), f.max_coordinate()) + 2
+    for x in range(-1, window):
+        for y in range(-1, window):
+            assert e.contains(x, y) == linear_contains(g, x, y)
+
+
+def test_mul_of_spread_antichains_keeps_every_sum():
+    """The output of the product can be all k*k' sums."""
+    e, f = HereditarySet(spread_antichain(7, 10)), HereditarySet(spread_antichain(9, 1))
+    assert len((e * f).generators) == 7 * 9
 
 
 # -- coordinate scaling ---------------------------------------------------------

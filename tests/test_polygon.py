@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tropsquare import (
     HereditarySet,
@@ -19,7 +20,7 @@ from tropsquare import (
     surd,
 )
 
-from helpers import exposed_points, random_hset, region_contains
+from helpers import exposed_points, linear_polygon_contains, random_hset, region_contains
 
 E4 = HereditarySet([(0, 8), (2, 5), (5, 3), (7, 0)])
 
@@ -143,6 +144,27 @@ def test_contains_matches_region_oracle():
                 assert poly.contains(x, y) == region_contains(
                     e.generators, (x, y), window
                 )
+
+
+staircase_points = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=14)
+
+
+@given(staircase_points, staircase_points)
+@example([], [(1, 2), (0, 5)])  # ZERO_POLYGON
+@example([(0, 0)], [(3, 1), (0, 5)])  # UNIT_POLYGON
+@example([(0, 4), (1, 2), (2, 0)], [(0, 4), (1, 2), (2, 0)])  # equal chains
+@example([(0, 9), (3, 3), (9, 0)], [(1, 5), (5, 1)])  # chains crossing each other
+def test_fast_paths_match_canonicalizing_constructor(points, others):
+    """convex_closure and ``+`` against NewtonPolygon(points), and membership
+    against the linear edge scan."""
+    p, q = convex_closure(HereditarySet(points)), convex_closure(HereditarySet(others))
+    assert p.vertices == NewtonPolygon(points).vertices
+    assert (p + q).vertices == NewtonPolygon(p.vertices + q.vertices).vertices
+    assert (q + p).vertices == (p + q).vertices
+    window = max(p.max_coordinate(), q.max_coordinate()) + 2
+    for x in range(-1, window):
+        for y in range(-1, window):
+            assert p.contains(x, y) == linear_polygon_contains(p.vertices, x, y)
 
 
 # -- cancellation -------------------------------------------------------------------

@@ -27,9 +27,9 @@ from tropsquare import (
 )
 
 from tropsquare.correspondence import random_germ
-from tropsquare.scalars import inf_or, rational_from_json, rational_to_json
+from tropsquare.scalars import _squarefree, inf_or, rational_from_json, rational_to_json
 
-from helpers import interval_sign
+from helpers import interval_sign, squarefree_oracle
 
 
 def sign(x, y) -> int:
@@ -49,6 +49,14 @@ def test_canonical_square_part_extracted():
     assert surd(4) == ExactScalar(2)
     assert surd(1) == ExactScalar(1)
     assert ExactScalar(3, 0, 7) == ExactScalar(3)
+
+
+def test_squarefree_matches_trial_division_by_every_integer():
+    for d in range(1, 10**5 + 1):
+        assert _squarefree(d) == squarefree_oracle(d)
+    # products of primes near 10**6, one with a square and a power of 2
+    for d in (999983 * 1000003, 2 * 1000003**2, 4 * 999983 * 1000033, 2**41 * 999983):
+        assert _squarefree(d) == squarefree_oracle(d)
 
 
 def test_canonical_negative_radicand_rejected():
