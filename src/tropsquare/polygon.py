@@ -31,10 +31,6 @@ def _cross(p, q, r) -> int:
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
-def _staircase_hull(points) -> tuple[tuple[int, int], ...]:
-    return _hull_scan(minimal_points(points))
-
-
 def _hull_scan(staircase) -> tuple[tuple[int, int], ...]:
     """Extreme-point chain of a canonical staircase."""
     out: list[tuple[int, int]] = []
@@ -51,7 +47,7 @@ class NewtonPolygon:
     __slots__ = ("vertices",)
 
     def __init__(self, points=()):
-        object.__setattr__(self, "vertices", _staircase_hull(points))
+        object.__setattr__(self, "vertices", _hull_scan(minimal_points(points)))
 
     @classmethod
     def _wrap(cls, chain: tuple) -> "NewtonPolygon":
