@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from fractions import Fraction
 
@@ -71,7 +72,8 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise MalformedInput(f"{path}: {exc}") from exc
 
 
@@ -114,42 +116,49 @@ def _emit(obj) -> int:
 # -- handlers ---------------------------------------------------------------
 
 
-def _cmd_hereditary(args) -> int:
-    op = args.op
-    if op in ("add", "mul"):
-        lhs, rhs = _load(HereditarySet, args.lhs), _load(HereditarySet, args.rhs)
-        out = lhs + rhs if op == "add" else lhs * rhs
-        return _emit(out.to_json())
+def _binary(cls, op):
+    """Handler of ``add`` or ``mul``: ``op`` of the ``cls`` files ``--lhs``, ``--rhs``."""
+    return lambda args: op(_load(cls, args.lhs), _load(cls, args.rhs)).to_json()
+
+
+def _weighted_degree(args) -> dict:
+    alpha = _load(HereditarySet, args.input).weighted_degree(_parse_fraction(args.r))
+    return {"alpha": inf_or(alpha, rational_to_json)}
+
+
+def _rasterize(args) -> dict:
     e = _load(HereditarySet, args.input)
-    if op == "canonicalize":
-        return _emit(e.to_json())
-    if op == "scale":
-        return _emit(e.scale(args.n, args.m).to_json())
-    if op == "degree":
-        return _emit({"exponent": inf_or(e.min_degree(), int)})
-    if op == "weighted-degree":
-        alpha = e.weighted_degree(_parse_fraction(args.r))
-        return _emit({"alpha": inf_or(alpha, rational_to_json)})
-    if op == "rasterize":
-        _check_limit("--window", args.window, MAX_WINDOW)
-        rows = [list(map(int, row)) for row in e.rasterize(args.window)]
-        return _emit({"window": args.window, "rows": rows})
-    raise AssertionError(op)
+    _check_limit("--window", args.window, MAX_WINDOW)
+    rows = [list(map(int, row)) for row in e.rasterize(args.window)]
+    return {"window": args.window, "rows": rows}
 
 
-def _cmd_newton(args) -> int:
-    op = args.op
-    if op in ("add", "mul"):
-        lhs, rhs = _load(NewtonPolygon, args.lhs), _load(NewtonPolygon, args.rhs)
-        out = lhs + rhs if op == "add" else lhs * rhs
-        return _emit(out.to_json())
-    if op == "hull":
-        return _emit(convex_closure(_load(HereditarySet, args.input)).to_json())
-    if op == "support":
-        poly = _load(NewtonPolygon, args.input)
-        wx, wy = _parse_slope(args.x), _parse_slope(args.y)
-        return _emit({"value": inf_or(poly.support(wx, wy), scalar_to_json)})
-    raise AssertionError(op)
+def _support(args) -> dict:
+    poly = _load(NewtonPolygon, args.input)
+    wx, wy = _parse_slope(args.x), _parse_slope(args.y)
+    return {"value": inf_or(poly.support(wx, wy), scalar_to_json)}
+
+
+# the ops of ``hereditary`` and ``newton``: their argparse choices, in order
+_HEREDITARY_OPS = {
+    "canonicalize": lambda args: _load(HereditarySet, args.input).to_json(),
+    "add": _binary(HereditarySet, operator.add),
+    "mul": _binary(HereditarySet, operator.mul),
+    "scale": lambda args: _load(HereditarySet, args.input).scale(args.n, args.m).to_json(),
+    "degree": lambda args: {"exponent": inf_or(_load(HereditarySet, args.input).min_degree(), int)},
+    "weighted-degree": _weighted_degree,
+    "rasterize": _rasterize,
+}
+_NEWTON_OPS = {
+    "hull": lambda args: convex_closure(_load(HereditarySet, args.input)).to_json(),
+    "add": _binary(NewtonPolygon, operator.add),
+    "mul": _binary(NewtonPolygon, operator.mul),
+    "support": _support,
+}
+
+
+def _cmd_op(args) -> int:
+    return _emit(args.ops[args.op](args))
 
 
 def _cmd_semigroup(args) -> int:
@@ -193,6 +202,9 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    if args.verify_bound is not None and args.verify_bound < 1:
+        # the library checks the bound only on the way to a rational product
+        raise MalformedInput(f"--verify-bound must be at least 1, got {args.verify_bound}")
     left, right = _parse_slope(args.left), _parse_slope(args.right)
     result = compose_slopes(left, right)
     out = result.to_json()
@@ -253,10 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hereditary", help="up-set operations")
-    p.add_argument(
-        "op",
-        choices=["canonicalize", "add", "mul", "scale", "degree", "weighted-degree", "rasterize"],
-    )
+    p.add_argument("op", choices=list(_HEREDITARY_OPS))
     p.add_argument("--input", help="up-set JSON file")
     p.add_argument("--lhs")
     p.add_argument("--rhs")
@@ -264,16 +273,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--r", help="weight as p/q")
     p.add_argument("--window", type=int, default=10)
-    p.set_defaults(handler=_cmd_hereditary)
+    p.set_defaults(handler=_cmd_op, ops=_HEREDITARY_OPS)
 
     p = sub.add_parser("newton", help="polygon operations")
-    p.add_argument("op", choices=["hull", "add", "mul", "support"])
+    p.add_argument("op", choices=list(_NEWTON_OPS))
     p.add_argument("--input")
     p.add_argument("--lhs")
     p.add_argument("--rhs")
     p.add_argument("--x", help="first support weight (scalar spec)")
     p.add_argument("--y", help="second support weight (scalar spec)")
-    p.set_defaults(handler=_cmd_newton)
+    p.set_defaults(handler=_cmd_op, ops=_NEWTON_OPS)
 
     p = sub.add_parser("semigroup", help="two-generator numerical semigroup")
     p.add_argument("--n", type=int, required=True)

@@ -67,6 +67,7 @@ def lambda_from_json(obj) -> ExactScalar:
     raise ValueError(f"unknown slope kind {obj.get('kind')!r}")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class CorrespondenceElement:
     """A value in the image of a sloped evaluation, with one witness.
 
@@ -76,7 +77,8 @@ class CorrespondenceElement:
     and must be identified.
     """
 
-    __slots__ = ("alpha", "witness")
+    alpha: object  # ExactScalar, or INF for zero
+    witness: tuple[int, int] | None
 
     def __init__(self, alpha, witness):
         if alpha is not INF:
@@ -91,9 +93,6 @@ class CorrespondenceElement:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "witness", witness)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CorrespondenceElement is immutable")
 
     @classmethod
     def from_witness(cls, lam, a: int, b: int) -> "CorrespondenceElement":

@@ -8,7 +8,7 @@ sloped evaluation line blue, generators dark dots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .correspondence import evaluate
 from .errors import WindowTooSmall
@@ -34,7 +34,7 @@ class FigureSpec:
     region: HereditarySet
     lam: object = None  # optional slope for the lambda_line layer
     window: int = 10
-    layers: frozenset = field(default_factory=lambda: ALL_LAYERS)
+    layers: frozenset = ALL_LAYERS
 
 
 def _fmt(v: float) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
@@ -55,10 +56,11 @@ def json_points(raw) -> list[tuple[int, int]]:
     return points
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class HereditarySet:
     """Up-set of N x N represented by its minimal-point staircase."""
 
-    __slots__ = ("generators",)
+    generators: tuple[tuple[int, int], ...]
 
     def __init__(self, points=()):
         object.__setattr__(self, "generators", minimal_points(points))
@@ -69,9 +71,6 @@ class HereditarySet:
         object.__setattr__(out, "generators", canonical)
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HereditarySet is immutable")
-
     @property
     def is_zero(self) -> bool:
         return not self.generators
@@ -81,14 +80,6 @@ class HereditarySet:
         has the least second coordinate of all of them."""
         i = bisect_right(self.generators, a, key=itemgetter(0))
         return i > 0 and self.generators[i - 1][1] <= b
-
-    def __eq__(self, other):
-        if not isinstance(other, HereditarySet):
-            return NotImplemented
-        return self.generators == other.generators
-
-    def __hash__(self):
-        return hash(self.generators)
 
     def __repr__(self):
         return f"HereditarySet({list(self.generators)})"

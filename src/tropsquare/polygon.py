@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import ZeroImage
@@ -41,10 +42,11 @@ def _hull_scan(staircase) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class NewtonPolygon:
     """Quadrant-stable convex region stored by its extreme-point chain."""
 
-    __slots__ = ("vertices",)
+    vertices: tuple[tuple[int, int], ...]
 
     def __init__(self, points=()):
         object.__setattr__(self, "vertices", _hull_scan(minimal_points(points)))
@@ -55,20 +57,9 @@ class NewtonPolygon:
         object.__setattr__(out, "vertices", chain)
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NewtonPolygon is immutable")
-
     @property
     def is_zero(self) -> bool:
         return not self.vertices
-
-    def __eq__(self, other):
-        if not isinstance(other, NewtonPolygon):
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
 
     def __repr__(self):
         return f"NewtonPolygon({list(self.vertices)})"

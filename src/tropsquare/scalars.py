@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IncompatibleRadicals
@@ -42,6 +43,10 @@ class Infinity:
 
     def __repr__(self):
         return "inf"
+
+    def __reduce__(self):
+        # pickled by reference, so every protocol restores the singleton
+        return "INF"
 
     def __eq__(self, other):
         return other is self
@@ -120,6 +125,7 @@ def _surd_sign(a: int, b: int, d: int) -> int:
     return 1 if (lhs > rhs) == (a > 0) else -1
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class ExactScalar:
     """Canonical quadratic surd ``a + b*sqrt(d)``.
 
@@ -131,7 +137,9 @@ class ExactScalar:
     unique (and ``2 == Fraction(2)`` with equal hashes).
     """
 
-    __slots__ = ("a", "b", "d")
+    a: int | Fraction
+    b: int | Fraction
+    d: int
 
     def __init__(self, a=0, b=0, d=0):
         if isinstance(a, float) or isinstance(b, float):
@@ -177,9 +185,6 @@ class ExactScalar:
             object.__setattr__(self, "d", 0)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactScalar is immutable")
-
     # -- predicates ------------------------------------------------------
 
     @property
@@ -207,9 +212,7 @@ class ExactScalar:
             return ExactScalar._make(other, _ZERO, 0)
         if t is Fraction:
             return ExactScalar._make(other, _ZERO, 0)
-        if isinstance(other, ExactScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)):  # bool and other subclasses
             return ExactScalar(other)
         return None
 
@@ -477,6 +480,7 @@ def scalar_from_json(obj) -> ExactScalar:
 # -- germs ---------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class GermExponent:
     """Germ at 0 of ``eps -> base + slope_plus*eps`` (eps > 0) and
     ``base + slope_minus*eps`` (eps < 0).
@@ -486,7 +490,9 @@ class GermExponent:
     its slopes are canonicalized to 0.
     """
 
-    __slots__ = ("base", "slope_plus", "slope_minus")
+    base: ExactScalar | Infinity
+    slope_plus: ExactScalar
+    slope_minus: ExactScalar
 
     def __init__(self, base, slope_plus=0, slope_minus=None):
         if slope_minus is None:
@@ -513,24 +519,9 @@ class GermExponent:
         object.__setattr__(self, "slope_minus", slope_minus)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GermExponent is immutable")
-
     @property
     def is_zero(self) -> bool:
         return self.base is INF
-
-    def __eq__(self, other):
-        if not isinstance(other, GermExponent):
-            return NotImplemented
-        return (
-            self.base == other.base
-            and self.slope_plus == other.slope_plus
-            and self.slope_minus == other.slope_minus
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.slope_plus, self.slope_minus))
 
     def __repr__(self):
         if self.is_zero:

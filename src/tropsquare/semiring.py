@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -55,7 +55,7 @@ class SuiteReport:
     instance: str
     iterations: int
     seed: int
-    results: tuple[LawResult, ...] = field(default_factory=tuple)
+    results: tuple[LawResult, ...] = ()
 
     @property
     def passed(self) -> bool:

@@ -140,6 +140,11 @@ def test_compose_failed_verification_exits_1(capsys, monkeypatch):
     assert run_cli(capsys, "compose", "--left", "1/2", "--right", "3/4")[0] == 0
 
 
+def test_compose_verify_bound_one_is_accepted(capsys):
+    out = run_json(capsys, "compose", "--left", "1/2", "--right", "3/4", "--verify-bound", "1")
+    assert out["verification"]["ok"] is True
+
+
 def test_axioms_deterministic(capsys):
     args = ("axioms", "--iters", "50", "--seed", "9", "--instance", "nat-min-plus")
     first = run_cli(capsys, *args)
@@ -172,6 +177,9 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     good, hull = tmp_path / "good.json", tmp_path / "hull.json"
     good.write_text(json.dumps(E4_JSON))
     hull.write_text(json.dumps({"vertices": [[0, 8], [2, 5], [7, 0]]}))
+    # nested deeper than the JSON decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
     for argv in (
         ("iso", "--l1", "1/0", "--l2", "1"),
         ("eval", "--lambda", "1/0", "--input", str(good)),
@@ -184,6 +192,11 @@ def test_malformed_input_exit_code(capsys, tmp_path):
         ("newton", "support", "--y", "1", "--input", str(hull)),
         ("axioms", "--iters", "0"),
         ("axioms", "--iters", "-5", "--instance", "nat-min-plus"),
+        ("compose", "--left", "1/2", "--right", "3/4", "--verify-bound", "0"),
+        ("compose", "--left", "1/2", "--right", "3/4", "--verify-bound", "-5"),
+        ("compose", "--left", "sqrt:2", "--right", "sqrt:3", "--verify-bound", "0"),
+        ("compose", "--left", "sqrt:2", "--right", "sqrt:3", "--verify-bound", "-5"),
+        ("eval", "--lambda", "1/2", "--input", str(deep)),
     ):
         assert run_cli(capsys, *argv) == (2, ""), argv
 
@@ -283,6 +296,13 @@ def test_figure_degenerate_regions():
     full = emit_figure(FigureSpec(region=HereditarySet([(0, 0)]), window=3))
     # full quadrant: every cell filled, hull reduced to the corner vertex
     assert full.count("#f2d88a") == 9 and "polyline" in full
+
+
+def test_figure_of_empty_set_fits_window_one(capsys, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"generators": []}))
+    code, out = run_cli(capsys, "figure", "--input", str(empty), "--window", "1")
+    assert code == 0 and out.startswith("<?xml")
 
 
 def test_cli_tour_matches_golden(capsys, tmp_path, monkeypatch):

@@ -198,6 +198,15 @@ def test_collision_may_need_a_power_to_merge():
     assert reduced.equivalent and reduced.power == 2
 
 
+def test_reduced_equiv_accepts_bound_one():
+    # ``bound`` must be at least 1; 1 itself is allowed and limits nothing
+    lam, lamp = as_scalar(Fraction(3, 2)), as_scalar(Fraction(4, 3))
+    t1, t2 = witness_tensor(lam, lamp, (1, 0)), witness_tensor(lam, lamp, (0, 2))
+    assert reduced_equiv(t1, t2, lam, lamp, bound=1) == reduced_equiv(t1, t2, lam, lamp)
+    with pytest.raises(ValueError):
+        reduced_equiv(t1, t2, lam, lamp, bound=0)
+
+
 def test_no_power_merges_the_deformed_witness():
     t1, t2 = witness_tensor(S2, S2, (1, 0)), witness_tensor(S2, S2, (0, 2))
     for k in (1, 2, 3, 4):

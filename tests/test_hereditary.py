@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from tropsquare import (
+    ExactScalar,
     HereditarySet,
     INF,
     UNIT_SET,
@@ -196,6 +197,18 @@ def test_weighted_degree_frozen():
     assert E4.weighted_minimizer(r)[1] == (7, 0)
     assert UNIT_SET.weighted_degree(r) == 0
     assert ZERO_SET.weighted_degree(r) is INF
+
+
+def test_weighted_minimizer_ties_go_to_the_first_generator():
+    # every generator of the anti-diagonal has weight-1 degree 2
+    e = HereditarySet([(0, 2), (1, 1), (2, 0)])
+    for weight in (Fraction(1), ExactScalar(1)):
+        assert e.weighted_minimizer(weight) == (2, (0, 2))
+
+
+def test_max_coordinate_of_empty_set_is_zero():
+    assert ZERO_SET.max_coordinate() == 0
+    assert E4.max_coordinate() == 8
 
 
 def test_weighted_degree_scaling_bridge():

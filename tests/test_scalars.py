@@ -325,6 +325,13 @@ def test_order_with_int_fraction_and_bool_operands():
     assert sign(ExactScalar(-2, 1, 2), Fraction(-1, 2)) == -1
 
 
+def test_bool_operand_is_an_int():
+    # bool is coerced as the int subclass it is, into a canonical scalar
+    total = ExactScalar(1) + True
+    assert type(total) is ExactScalar and total == 2 and type(total.a) is int
+    assert True + surd(2) == ExactScalar(1, 1, 2) and surd(2) * False == 0
+
+
 def test_float_operand_still_type_error():
     for cmp in (
         lambda: surd(2) < 1.5, lambda: surd(2) <= 1.5,
